@@ -9,9 +9,7 @@ this format.
 from __future__ import annotations
 
 import json
-from importlib import resources
-
-import jsonschema
+import re
 
 from .errors import CertificateError
 from .fields import FiniteFieldSpec, MultChar
@@ -19,11 +17,11 @@ from .lifting import DetSpec, LiftCertificate, LocalFieldShape, WeightAssignment
 from .units import UnitExpr
 
 CERTIFICATE_SCHEMA_ID = "lift-certificate/v1"
-
-
-def _load_schema(name: str) -> dict:
-    text = resources.files("cryslift.schemas").joinpath(name).read_text()
-    return json.loads(text)
+REPORT_SCHEMA_ID = "sweep-report/v1"
+# maxLength of every integer string in the certificate schema: below the
+# 4300-digit limit of int() on strings, so that every schema-valid
+# certificate parses
+MAX_INT_STR_LEN = 4000
 
 
 def certificate_to_json(cert: LiftCertificate) -> dict:
@@ -74,18 +72,159 @@ def certificate_from_json(obj: dict) -> LiftCertificate:
 
 
 def validate_certificate_schema(obj: dict) -> None:
-    """Structural validation only; identity checks live in the verifier."""
+    """Structural validation only; identity checks live in the verifier.
+
+    Accepts exactly the documents that ``schemas/certificate.schema.json``
+    (``lift-certificate/v1``) accepts, checked by hand rather than by a
+    generic schema engine.
+    """
     try:
-        jsonschema.validate(obj, _load_schema("certificate.schema.json"))
-    except jsonschema.ValidationError as exc:
-        raise CertificateError(f"certificate schema violation: {exc.message}") from exc
+        _check_certificate(obj)
+    except _Violation as exc:
+        raise CertificateError(f"certificate schema violation at {exc}") from None
 
 
 def validate_report_schema(obj: dict) -> None:
+    """Accepts exactly the documents that ``schemas/report.schema.json``
+    (``sweep-report/v1``) accepts."""
     try:
-        jsonschema.validate(obj, _load_schema("report.schema.json"))
-    except jsonschema.ValidationError as exc:
-        raise CertificateError(f"report schema violation: {exc.message}") from exc
+        _check_report(obj)
+    except _Violation as exc:
+        raise CertificateError(f"report schema violation at {exc}") from None
+
+
+# Hand-written checks of the two schema files.  Types follow JSON Schema
+# draft 7 over parsed JSON: "object" is dict, "array" is list, "integer"
+# is a non-bool int or an integral float, and enum/const never equate a
+# bool with a number.  "pattern" is matched with re.search, so "$" also
+# matches before a final newline ("12\n" is an integer string).
+
+_INT_STR = re.compile(r"^-?[0-9]+$")
+_DEN_STR = re.compile(r"^[1-9][0-9]*$")
+_CERT_REQUIRED = ("schema", "shape", "theta_bar", "psi", "weights",
+                  "theta_uniformizer", "checks")
+_CERT_KEYS = _CERT_REQUIRED + ("hypotheses", "self_check")
+_REPORT_KEYS = ("schema", "config", "instances", "totals")
+_SHAPE_KEYS = ("p", "f", "e", "d", "t")
+_PSI_KEYS = ("a", "uniformizer")
+_UNIT_KEYS = ("sign", "factors")
+_TOTALS_KEYS = ("instances", "passed", "failed")
+
+
+class _Violation(Exception):
+    """A schema rule broken at a JSON path such as ``psi.a[3]``."""
+
+    def __init__(self, path: str, reason: str) -> None:
+        super().__init__(f"{path or 'top level'}: {reason}")
+
+
+def _object(obj, path: str, required, allowed=None) -> dict:
+    if not isinstance(obj, dict):
+        raise _Violation(path, "expected an object")
+    for key in required:
+        if key not in obj:
+            raise _Violation(path, f"missing required key {key!r}")
+    if allowed is not None:
+        for key in obj:
+            if key not in allowed:
+                raise _Violation(path, f"unexpected key {key!r}")
+    return obj
+
+
+def _is_int_str(value, pattern: re.Pattern = _INT_STR) -> bool:
+    return (isinstance(value, str) and len(value) <= MAX_INT_STR_LEN
+            and pattern.search(value) is not None)
+
+
+def _int_str(value, path: str, pattern: re.Pattern = _INT_STR) -> None:
+    if not _is_int_str(value, pattern):
+        raise _Violation(path, f"expected a string matching {pattern.pattern} "
+                               f"of at most {MAX_INT_STR_LEN} characters")
+
+
+def _int_str_list(value, path: str) -> None:
+    if not isinstance(value, list) or not value:
+        raise _Violation(path, "expected a non-empty array")
+    for i, item in enumerate(value):
+        if not _is_int_str(item):  # the item's path is formatted only on failure
+            _int_str(item, f"{path}[{i}]")
+
+
+def _unit(obj, path: str) -> None:
+    _object(obj, path, _UNIT_KEYS, _UNIT_KEYS)
+    sign = obj["sign"]
+    if isinstance(sign, bool) or sign not in (1, -1):
+        raise _Violation(f"{path}.sign", "expected 1 or -1")
+    factors = obj["factors"]
+    if not isinstance(factors, list):
+        raise _Violation(f"{path}.factors", "expected an array")
+    for i, factor in enumerate(factors):
+        at = f"{path}.factors[{i}]"
+        if not isinstance(factor, list) or len(factor) != 3:
+            raise _Violation(at, "expected [label, numerator, denominator]")
+        label, num, den = factor
+        if not isinstance(label, str):
+            raise _Violation(f"{at}[0]", "expected a string")
+        _int_str(num, f"{at}[1]")
+        _int_str(den, f"{at}[2]", _DEN_STR)
+
+
+def _check_certificate(obj) -> None:
+    _object(obj, "", _CERT_REQUIRED, _CERT_KEYS)
+    if obj["schema"] != CERTIFICATE_SCHEMA_ID:
+        raise _Violation("schema", f"expected {CERTIFICATE_SCHEMA_ID!r}")
+    shape = _object(obj["shape"], "shape", _SHAPE_KEYS, _SHAPE_KEYS)
+    for key in _SHAPE_KEYS:
+        _int_str(shape[key], f"shape.{key}")
+    _int_str(_object(obj["theta_bar"], "theta_bar", ("b",), ("b",))["b"], "theta_bar.b")
+    psi = _object(obj["psi"], "psi", _PSI_KEYS, _PSI_KEYS)
+    _int_str_list(psi["a"], "psi.a")
+    _unit(psi["uniformizer"], "psi.uniformizer")
+    _int_str_list(obj["weights"], "weights")
+    _unit(obj["theta_uniformizer"], "theta_uniformizer")
+    for name, value in _object(obj["checks"], "checks", ()).items():
+        if value is not None and not isinstance(value, bool):
+            raise _Violation(f"checks.{name}", "expected true, false or null")
+    if "hypotheses" in obj:
+        for name, value in _object(obj["hypotheses"], "hypotheses", ()).items():
+            if not isinstance(value, str):
+                raise _Violation(f"hypotheses.{name}", "expected a string")
+    if "self_check" in obj and obj["self_check"] not in ("pass", "fail"):
+        raise _Violation("self_check", "expected 'pass' or 'fail'")
+
+
+def _is_integer(value) -> bool:
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_report(obj) -> None:
+    _object(obj, "", _REPORT_KEYS, _REPORT_KEYS)
+    if obj["schema"] != REPORT_SCHEMA_ID:
+        raise _Violation("schema", f"expected {REPORT_SCHEMA_ID!r}")
+    _object(obj["config"], "config", ())
+    instances = obj["instances"]
+    if not isinstance(instances, list):
+        raise _Violation("instances", "expected an array")
+    for i, row in enumerate(instances):
+        at = f"instances[{i}]"
+        _object(row, at, ("id", "pass"))
+        if not isinstance(row["id"], str):
+            raise _Violation(f"{at}.id", "expected a string")
+        if not isinstance(row["pass"], bool):
+            raise _Violation(f"{at}.pass", "expected true or false")
+        if "violations" in row:
+            violations = row["violations"]
+            if not isinstance(violations, list):
+                raise _Violation(f"{at}.violations", "expected an array")
+            for j, text in enumerate(violations):
+                if not isinstance(text, str):
+                    raise _Violation(f"{at}.violations[{j}]", "expected a string")
+    totals = _object(obj["totals"], "totals", _TOTALS_KEYS, _TOTALS_KEYS)
+    for key in _TOTALS_KEYS:
+        if not _is_integer(totals[key]):
+            raise _Violation(f"totals.{key}", "expected an integer")
 
 
 def dumps(obj: dict) -> str:

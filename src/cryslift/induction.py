@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .fields import norm_exponent
 
 
@@ -146,6 +144,10 @@ def verify_det_induction(model: FrobeniusModel, b: int,
     counterexamples: list[dict] = []
 
     if use_numpy and M > 1 and (M - 1) * (M - 1) * d < 2 ** 62:
+        # imported here, its only use, so that importing cryslift does
+        # not load numpy
+        import numpy as np
+
         h = np.arange(M, dtype=np.int64)
         # det rho(h, 0): sum over i of the diagonal exponents b*q^i*h
         diag_sum = np.zeros(M, dtype=np.int64)

@@ -14,7 +14,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
-from .certio import certificate_to_json
+from .certio import REPORT_SCHEMA_ID, certificate_to_json
 from .errors import InfeasibleError
 from .fields import MultChar, digits, is_prime
 from .lifting import DetSpec, LocalFieldShape, irr_crys_lift
@@ -140,8 +140,10 @@ def run_sweep(config: SweepConfig) -> dict:
     if config.record == "failures":
         rows = [r for r in rows if not r["pass"]]
     return {
-        "schema": "sweep-report/v1",
-        "config": asdict(config),
+        "schema": REPORT_SCHEMA_ID,
+        # jobs changes only how the grid is run, so the report leaves it
+        # out and is byte-identical for any jobs
+        "config": {k: v for k, v in asdict(config).items() if k != "jobs"},
         "instances": rows,
         "totals": totals,
     }

@@ -12,15 +12,42 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# The verifier checks p only below this bound, where Miller-Rabin with
+# the bases below is a proof of primality (it is for all n < 3.18e23).
+P_BOUND = 2 ** 64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < P_BOUND."""
     if n < 2:
         return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n < 41 * 41:  # a composite without a prime factor <= 37 is >= 41^2
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        k += 1
     return True
+
+
+def _pow_le(p: int, n: int, bound: int) -> bool:
+    """p**n <= bound, without computing p**n when it is far larger."""
+    if (p.bit_length() - 1) * n > bound.bit_length():
+        return False
+    return p ** n <= bound
 
 
 def _base_p_digits(b: int, p: int, length: int) -> list[int]:
@@ -49,29 +76,32 @@ def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
     """
     violations: list[str] = []
 
+    # cheapest checks first: no power of p and no digit expansion before
+    # the lengths of psi and weights bound f*d by the document's size
     sh = obj["shape"]
     p, f, e, d, t = (int(sh[x]) for x in ("p", "f", "e", "d", "t"))
+    if not p < P_BOUND:
+        return False, [f"shape: p={p} is not below the verifier's bound 2^64"]
     if not _is_prime(p):
         return False, [f"shape: p={p} is not prime"]
     if min(f, e, d, t) < 1:
         return False, ["shape: f, e, d, t must all be >= 1"]
-    q = p ** f
-    if t % (q - 1) != 0:
-        violations.append(f"shape: t={t} not a multiple of q-1={q - 1}")
-
-    big_q = p ** (f * d)
-    b_exp = int(obj["theta_bar"]["b"])
-    if not 0 <= b_exp <= big_q - 2:
-        violations.append(f"theta_bar exponent {b_exp} outside [0, {big_q - 2}]")
-        return False, violations
-
+    if len(obj["psi"]["a"]) != e * f:
+        return False, [f"psi has {len(obj['psi']['a'])} exponents, expected e*f "
+                       f"with e={e}, f={f}"]
+    if len(obj["weights"]) != e * f * d:
+        return False, [f"{len(obj['weights'])} weights, expected e*f*d "
+                       f"with e={e}, f={f}, d={d}"]
     a = [int(v) for v in obj["psi"]["a"]]
-    if len(a) != e * f:
-        violations.append(f"psi has {len(a)} exponents, expected e*f = {e * f}")
-        return False, violations
     k = [int(v) for v in obj["weights"]]
-    if len(k) != e * f * d:
-        violations.append(f"{len(k)} weights, expected e*f*d = {e * f * d}")
+
+    # t is a multiple of q-1 = p^f-1 only if q-1 <= t
+    if not _pow_le(p, f, t + 1) or t % (p ** f - 1) != 0:
+        violations.append(f"shape: t={t} not a multiple of q-1 = {p}^{f}-1")
+
+    b_exp = int(obj["theta_bar"]["b"])
+    if b_exp < 0 or _pow_le(p, f * d, b_exp + 1):
+        violations.append(f"theta_bar exponent {b_exp} outside [0, {p}^{f * d}-2]")
         return False, violations
 
     # digits of theta_bar over Sigma_E0

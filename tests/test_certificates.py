@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import time
 
 import pytest
 
@@ -15,7 +16,7 @@ from cryslift.errors import CertificateError
 from cryslift.fields import FiniteFieldSpec, MultChar, digits
 from cryslift.lifting import DetSpec, LocalFieldShape, irr_crys_lift
 from cryslift.units import UnitExpr
-from cryslift.verify import verify_certificate
+from cryslift.verify import _is_prime, verify_certificate
 
 U = UnitExpr.symbol("psi(varpi_F)")
 
@@ -132,3 +133,48 @@ class TestMutations:
             m = copy.deepcopy(doc)
             m["theta_uniformizer"]["sign"] *= -1
             assert not verify_certificate(m)[0]
+
+
+class TestVerifierBounds:
+    """The verifier returns a verdict quickly on every schema-valid document."""
+
+    def test_huge_degree_rejected_by_length_first(self):
+        doc = certificate_to_json(build_cert())
+        doc["shape"]["d"] = "30000000"
+        validate_certificate_schema(doc)
+        started = time.perf_counter()
+        ok, violations = verify_certificate(doc)
+        assert time.perf_counter() - started < 1.0
+        assert not ok and "weights" in violations[0]
+
+    def test_huge_exponents_stay_cheap(self):
+        doc = certificate_to_json(build_cert())
+        doc["shape"]["t"] = "9" * 4000
+        doc["theta_bar"]["b"] = "9" * 4000
+        started = time.perf_counter()
+        ok, violations = verify_certificate(doc)
+        assert time.perf_counter() - started < 1.0
+        assert not ok
+        assert any("not a multiple" in v for v in violations)
+        assert any("outside" in v for v in violations)
+
+    def test_is_prime_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % k for k in range(2, int(n ** 0.5) + 1))
+
+        assert [n for n in range(-2, 20000) if _is_prime(n)] == [
+            n for n in range(-2, 20000) if trial(n)]
+        # strong pseudoprimes to several small bases
+        assert not _is_prime(3215031751) and not _is_prime(3825123056546413051)
+
+    def test_large_p_is_cheap(self):
+        doc = certificate_to_json(build_cert())
+        for p, verdict in ((2 ** 61 - 1, None), (2 ** 64 - 59, None),
+                           (2 ** 64 - 1, "not prime"), (2 ** 64 + 13, "bound")):
+            doc["shape"]["p"] = str(p)
+            started = time.perf_counter()
+            ok, violations = verify_certificate(doc)
+            assert time.perf_counter() - started < 1.0
+            assert not ok
+            assert (f"p={p}" in violations[0]) is (verdict is not None)
+            assert verdict is None or verdict in violations[0]

@@ -94,6 +94,35 @@ def test_verify_schema_violation_exit_2(capsys, tmp_path):
     assert result["kind"] == "bad-input"
 
 
+def _lift_doc(capsys):
+    code, doc = run_cli(
+        capsys, "lift", "--p", "3", "--f", "1", "--e", "1", "--d", "2",
+        "--t", "2", "--theta-bar", "5", "--a", "3",
+    )
+    assert code == 0
+    return doc
+
+
+@pytest.mark.parametrize("path,value,where", [
+    # would reach Fraction(num, 0) in the verifier
+    (("psi", "uniformizer", "factors", 0, 2), "0", "psi.uniformizer.factors[0][2]"),
+    # beyond the 4300-digit limit of int() on strings
+    (("weights", 0), "9" * 5000, "weights[0]"),
+], ids=["zero-denominator", "5000-digits"])
+def test_verify_out_of_schema_integers_exit_2(capsys, tmp_path, path, value, where):
+    doc = _lift_doc(capsys)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    code, result = run_cli(capsys, "verify", str(cert))
+    assert code == 2
+    assert result["kind"] == "bad-input"
+    assert f"at {where}:" in result["error"]
+
+
 def test_induction(capsys):
     code, doc = run_cli(capsys, "induction", "--q", "3", "--d", "2")
     assert code == 0
@@ -137,3 +166,15 @@ def test_sweep_deterministic(capsys, tmp_path):
 def test_sweep_empty_range_rejected(capsys):
     code, doc = run_cli(capsys, "sweep", "--p-values", "")
     assert code == 2
+
+
+def test_sweep_report_identical_for_any_jobs(capsys, tmp_path):
+    argv = [
+        "sweep", "--p-values", "2,3", "--f-max", "2", "--e-max", "2",
+        "--d-max", "2", "--thetas-per-cell", "3", "--seed", "5",
+    ]
+    outs = [tmp_path / f"jobs{jobs}.json" for jobs in (1, 2)]
+    for jobs, out in zip((1, 2), outs):
+        assert main(argv + ["--jobs", str(jobs), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert outs[0].read_bytes() == outs[1].read_bytes()
