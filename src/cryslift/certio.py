@@ -22,6 +22,10 @@ REPORT_SCHEMA_ID = "sweep-report/v1"
 # 4300-digit limit of int() on strings, so that every schema-valid
 # certificate parses
 MAX_INT_STR_LEN = 4000
+# maxItems of every unit's factor list: the verifier sums the exponents
+# of a unit's factors, which costs quadratic time in their number when
+# the denominators are large
+MAX_UNIT_FACTORS = 16
 
 
 def certificate_to_json(cert: LiftCertificate) -> dict:
@@ -158,6 +162,8 @@ def _unit(obj, path: str) -> None:
     factors = obj["factors"]
     if not isinstance(factors, list):
         raise _Violation(f"{path}.factors", "expected an array")
+    if len(factors) > MAX_UNIT_FACTORS:
+        raise _Violation(f"{path}.factors", f"expected at most {MAX_UNIT_FACTORS} factors")
     for i, factor in enumerate(factors):
         at = f"{path}.factors[{i}]"
         if not isinstance(factor, list) or len(factor) != 3:

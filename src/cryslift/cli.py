@@ -14,7 +14,7 @@ import time
 
 from . import certio, verify
 from .errors import CertificateError, InfeasibleError
-from .fields import FiniteFieldSpec, MultChar, digits
+from .fields import FiniteFieldSpec, MultChar, digits, is_prime
 from .induction import FrobeniusModel, verify_det_induction
 from .ledger import WeightProfile, twist_shout
 from .lifting import DetSpec, LocalFieldShape, irr_crys_lift
@@ -34,6 +34,23 @@ def _emit(obj: dict) -> None:
 
 def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip() != ""]
+
+
+def _p_values(text: str, cap: int) -> list[int]:
+    """Comma-separated primes, where LO-HI stands for every prime in [LO, HI]
+    up to cap: a larger prime has no cell, since every cell has p <= cap."""
+    ps: list[int] = []
+    for part in text.split(","):
+        lo, dash, hi = part.strip().partition("-")
+        if dash and lo:
+            ps.extend(p for p in range(int(lo), min(int(hi), cap) + 1) if is_prime(p))
+        elif part.strip():
+            ps.append(int(part))
+    return ps
+
+
+def _thetas_per_cell(text: str) -> int | None:
+    return None if text == "all" else int(text)
 
 
 def cmd_digits(args: argparse.Namespace) -> int:
@@ -120,7 +137,7 @@ def cmd_twist(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = SweepConfig(
-        p_values=tuple(_int_list(args.p_values)),
+        p_values=tuple(_p_values(args.p_values, 2 ** args.max_field_bits)),
         f_max=args.f_max,
         e_max=args.e_max,
         d_max=args.d_max,
@@ -223,14 +240,17 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_twist)
 
     s = sub.add_parser("sweep", help="grid sweep with certificate verification")
-    s.add_argument("--p-values", default="2,3,5")
+    s.add_argument("--p-values", default="2,3,5",
+                   help="comma-separated primes; LO-HI means every prime in [LO, HI] "
+                   "up to 2^max-field-bits")
     s.add_argument("--f-max", type=int, default=2)
     s.add_argument("--e-max", type=int, default=2)
     s.add_argument("--d-max", type=int, default=3)
     s.add_argument("--t-with-p", action="store_true",
                    help="also sweep t = p*(q-1) in addition to t = q-1")
     s.add_argument("--a-bound", type=int, default=10)
-    s.add_argument("--thetas-per-cell", type=int, default=16)
+    s.add_argument("--thetas-per-cell", type=_thetas_per_cell, default=16,
+                   help="theta_bar exponents sampled per cell, or 'all' for every one")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--max-field-bits", type=int, default=10)

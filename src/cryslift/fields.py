@@ -11,20 +11,52 @@ sends x to sigma_0(x^(p^i)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
+
+
+# Primality is decided below PRIME_BOUND only: by a sieve table below
+# _SIEVE_LIMIT, and above it by Miller-Rabin with the bases below, which
+# is a proof of primality for all n < 3.18e23.
+PRIME_BOUND = 2 ** 64
+_SIEVE_LIMIT = 2 ** 16
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _sieve(n: int) -> bytearray:
+    table = bytearray([1]) * n
+    table[:2] = b"\0\0"
+    for i in range(2, isqrt(n - 1) + 1):
+        if table[i]:
+            table[i * i::i] = bytes(len(range(i * i, n, i)))
+    return table
+
+
+_SMALL_PRIME = bytes(_sieve(_SIEVE_LIMIT))
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
+    """Deterministic primality test; raises ValueError for n >= 2^64."""
+    if n < _SIEVE_LIMIT:
+        return n >= 2 and _SMALL_PRIME[n] == 1
+    if n >= PRIME_BOUND:
+        raise ValueError(
+            f"primality is decided only below 2^64, not for a {n.bit_length()}-bit n"
+        )
+    if any(n % a == 0 for a in _MR_BASES):
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 2
     return True
 
 

@@ -13,7 +13,10 @@ canonically:
 * Sigma_E: grouped by i0, then (r, l) with l = 0..d-1 indexing the
   element i0 + f*l of J_{i0}; global index i0*e*d + r*d + l.
 
-These orderings are part of the certificate wire format.
+These orderings are part of the certificate wire format, and they make
+every fibre a slice of the Sigma_E-indexed weights: the Sigma_F fibre of
+s is the contiguous slice k[s*d:(s+1)*d], and the Sigma_E0 fibre of
+j = i0 + f*l is the stride-d slice k[i0*e*d + l:(i0+1)*e*d:d].
 
 The weight construction solves, per i0-block, a distinct-entry
 transportation problem: rows are the e embeddings of F above i0 with
@@ -25,6 +28,7 @@ weights globally distinct.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .errors import InfeasibleError
@@ -101,10 +105,23 @@ class EmbeddingLayout:
         w = self.e * self.d
         return range(i0 * w, (i0 + 1) * w)
 
+    def F_fibre(self, s: int) -> slice:
+        """Sigma_E indices above the Sigma_F index s."""
+        return slice(s * self.d, (s + 1) * self.d)
+
+    def E0_fibre(self, j: int) -> slice:
+        """Sigma_E indices above the Sigma_E0 index j = i0 + f*l."""
+        i0, w = j % self.f, self.e * self.d
+        return slice(i0 * w + j // self.f, (i0 + 1) * w, self.d)
+
 
 def build_layout(shape: LocalFieldShape) -> EmbeddingLayout:
-    """Enumerate the embedding index sets for a valid shape."""
-    f, e, d = shape.f, shape.e, shape.d
+    """Enumerate the embedding index sets for a valid shape (cached per (f, e, d))."""
+    return _layout(shape.f, shape.e, shape.d)
+
+
+@functools.lru_cache(maxsize=1024)
+def _layout(f: int, e: int, d: int) -> EmbeddingLayout:
     I_blocks = tuple(tuple(i0 * e + r for r in range(e)) for i0 in range(f))
     J_blocks = tuple(tuple(i0 + f * l for l in range(d)) for i0 in range(f))
     sigma_E = tuple(
@@ -157,6 +174,21 @@ class LiftCertificate:
     hypotheses: dict = field(default_factory=dict)
 
 
+def _digits_and_compat(theta_bar: MultChar, psi: DetSpec, layout: EmbeddingLayout,
+                       shape: LocalFieldShape) -> tuple[tuple[int, ...], bool]:
+    """theta_bar's digits over Sigma_E0 and the compatibility congruence."""
+    if (theta_bar.field.p, theta_bar.field.f) != (shape.p, shape.f * shape.d):
+        raise ValueError("theta_bar lives over the wrong residue field")
+    psi.validate(layout)
+    b = digits(theta_bar).digits
+    e, f = layout.e, layout.f
+    # p = 2 makes the modulus 1 and the condition vacuous
+    return b, all(
+        (sum(psi.a[i0 * e:(i0 + 1) * e]) - sum(b[i0::f])) % (shape.p - 1) == 0
+        for i0 in range(f)
+    )
+
+
 def compat_check(theta_bar: MultChar, psi: DetSpec, layout: EmbeddingLayout,
                  shape: LocalFieldShape) -> bool:
     """Residue compatibility of (theta_bar, psi) in exponent form.
@@ -171,19 +203,26 @@ def compat_check(theta_bar: MultChar, psi: DetSpec, layout: EmbeddingLayout,
     one that is exactly equivalent to per-block feasibility of the weight
     construction; the two forms agree whenever f = 1 or d = 1.
     """
-    if theta_bar.field != shape.residue_field_E:
-        raise ValueError("theta_bar lives over the wrong residue field")
-    psi.validate(layout)
-    b = digits(theta_bar).digits
-    p = shape.p
-    # p = 2 makes the modulus 1 and the condition vacuous
-    return all(
-        (
-            sum(psi.a[s] for s in layout.I_blocks[i0])
-            - sum(b[j] for j in layout.J_blocks[i0])
-        ) % (p - 1) == 0
-        for i0 in range(layout.f)
-    )
+    return _digits_and_compat(theta_bar, psi, layout, shape)[1]
+
+
+def _build_weights(b: tuple[int, ...], a: tuple[int, ...], layout: EmbeddingLayout,
+                   p: int) -> tuple[int, ...]:
+    """Weights from compatible digits b and determinant exponents a, one
+    distinct-entry transport per i0-block (k = a when d = 1)."""
+    if layout.d == 1:
+        return tuple(a)
+    e, f = layout.e, layout.f
+    k: list[int] = []
+    C = 0
+    for i0 in range(f):
+        sol = regular_transport(a[i0 * e:(i0 + 1) * e], b[i0::f], p - 1, C)
+        ok, violations = verify_assignment(sol)
+        assert ok, f"solver output failed its own checker: {violations}"
+        for row in sol.entries:
+            k.extend(row)
+        C = max(map(abs, k))
+    return tuple(k)
 
 
 def lift_theta(theta_bar: MultChar, psi: DetSpec, shape: LocalFieldShape) -> WeightAssignment:
@@ -194,27 +233,12 @@ def lift_theta(theta_bar: MultChar, psi: DetSpec, shape: LocalFieldShape) -> Wei
     distinctness and digit conditions are then not guaranteed.
     """
     layout = build_layout(shape)
-    if not compat_check(theta_bar, psi, layout, shape):
+    b, compat = _digits_and_compat(theta_bar, psi, layout, shape)
+    if not compat:
         raise InfeasibleError(
             "theta_bar and psi are incompatible mod p-1: no lift exists"
         )
-    if shape.d == 1:
-        return WeightAssignment(tuple(psi.a))
-
-    b = digits(theta_bar).digits  # indexed by Sigma_E0
-    p, e, d = shape.p, shape.e, shape.d
-    k: list[int] = []
-    C = 0
-    for i0 in range(layout.f):
-        a_block = [psi.a[s] for s in layout.I_blocks[i0]]
-        b_block = [b[j] for j in layout.J_blocks[i0]]
-        sol = regular_transport(a_block, b_block, p - 1, C)
-        ok, violations = verify_assignment(sol)
-        assert ok, f"solver output failed its own checker: {violations}"
-        for r in range(e):
-            k.extend(sol.entries[r])
-        C = max(abs(v) for v in k)
-    return WeightAssignment(tuple(k))
+    return WeightAssignment(_build_weights(b, psi.a, layout, shape.p))
 
 
 def induce_weights(
@@ -225,22 +249,17 @@ def induce_weights(
     Each fibre is sorted descending; the induced representation has
     regular weights iff every fibre has d distinct values.
     """
-    fibres: list[tuple[int, ...]] = []
-    for s in range(layout.size_F):
-        vals = [k.k[t] for t, (sig, _) in enumerate(layout.sigma_E) if sig == s]
-        fibres.append(tuple(sorted(vals, reverse=True)))
+    fibres = [
+        tuple(sorted(k.k[layout.F_fibre(s)], reverse=True))
+        for s in range(layout.size_F)
+    ]
     regular = all(len(set(fib)) == layout.d for fib in fibres)
     return fibres, regular
 
 
 def _block_separation_holds(k: tuple[int, ...], layout: EmbeddingLayout) -> bool:
-    prev_max = None
-    for i0 in range(layout.f):
-        block = [abs(k[t]) for t in layout.E_block(i0)]
-        if prev_max is not None and min(block) <= prev_max:
-            return False
-        prev_max = max(block)
-    return True
+    blocks = [[abs(k[t]) for t in layout.E_block(i0)] for i0 in range(layout.f)]
+    return all(max(lo) < min(hi) for lo, hi in zip(blocks, blocks[1:]))
 
 
 def irr_crys_lift(theta_bar: MultChar, psi: DetSpec, shape: LocalFieldShape) -> LiftCertificate:
@@ -251,36 +270,26 @@ def irr_crys_lift(theta_bar: MultChar, psi: DetSpec, shape: LocalFieldShape) -> 
     determinant's value, per determinant-of-induction.
     """
     layout = build_layout(shape)
-    compat = compat_check(theta_bar, psi, layout, shape)
+    b, compat = _digits_and_compat(theta_bar, psi, layout, shape)
     if not compat:
         raise InfeasibleError("incompatible (theta_bar, psi): no certificate")
-    k = lift_theta(theta_bar, psi, shape)
+    k = WeightAssignment(_build_weights(b, psi.a, layout, shape.p))
     d = shape.d
     theta_unif = psi.uniformizer if d % 2 == 1 else psi.uniformizer.negate()
 
     # recorded identities, each recomputed here from the raw data
     row_sums_exact = all(
-        sum(k.k[t] for t, (sig, _) in enumerate(layout.sigma_E) if sig == s)
-        == psi.a[s]
-        for s in range(layout.size_F)
+        sum(k.k[layout.F_fibre(s)]) == psi.a[s] for s in range(layout.size_F)
     )
     if d > 1:
-        b = digits(theta_bar).digits
         col_congruent = all(
-            (
-                sum(k.k[t] for t, (_, j) in enumerate(layout.sigma_E) if j == j0)
-                - b[j0]
-            )
-            % (shape.p - 1)
-            == 0
-            for j0 in range(layout.size_E0)
+            (sum(k.k[layout.E0_fibre(j)]) - b[j]) % (shape.p - 1) == 0
+            for j in range(layout.size_E0)
         )
         distinct = len(set(k.k)) == layout.size_E
         separation = _block_separation_holds(k.k, layout)
     else:
-        col_congruent = None
-        distinct = None
-        separation = None
+        col_congruent = distinct = separation = None
     _, regular = induce_weights(k, layout)
     # (-1)^(d-1) * theta(varpi_E) == psi(varpi_F), symbolically
     unif_sign = theta_unif if d % 2 == 1 else theta_unif.negate()

@@ -42,6 +42,8 @@ class SweepConfig:
         for name in ("f_max", "e_max", "d_max", "jobs", "max_field_bits"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.thetas_per_cell is not None and self.thetas_per_cell < 1:
+            raise ValueError("thetas_per_cell must be >= 1, or None for every theta_bar")
         if not all(is_prime(p) for p in self.p_values):
             raise ValueError("p_values must all be prime")
         if self.record not in ("all", "failures"):
@@ -105,11 +107,13 @@ def run_cell(cell: Cell, config: SweepConfig) -> list[dict]:
         bs = range(big_q - 1)
     else:
         bs = sorted(rng.sample(range(big_q - 1), config.thetas_per_cell))
+    field_E = shape.residue_field_E
+    psi_unif = UnitExpr.symbol("psi(varpi_F)")
     rows = []
     for b in bs:
-        theta_bar = MultChar(shape.residue_field_E, b)
+        theta_bar = MultChar(field_E, b)
         a = _force_compat(rng, shape, theta_bar, config.a_bound)
-        psi = DetSpec(a, UnitExpr.symbol("psi(varpi_F)"))
+        psi = DetSpec(a, psi_unif)
         row_id = f"{cell.key},b={b}"
         try:
             cert = irr_crys_lift(theta_bar, psi, shape)

@@ -19,6 +19,7 @@ constraints.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import InfeasibleError
@@ -98,26 +99,24 @@ def _all_distinct(xs: list[int]) -> bool:
 
 
 def _fix_row_duplicates(row: list[int], m: int) -> list[tuple[int, int, int]]:
-    """Make row entries pairwise distinct by +-m*N swaps; returns the moves."""
+    """Make row entries pairwise distinct by +-m*N swaps; returns the moves.
+
+    Each move takes the lowest-index duplicate pair (j, k) and the smallest
+    N >= 1 that moves both entries to values absent from the row.  No move
+    creates a duplicate, so j only advances.
+    """
+    count = Counter(row)
     moves = []
-    while not _all_distinct(row):
-        # first duplicate pair, lowest indices
-        j, k = next(
-            (j, k)
-            for j in range(len(row))
-            for k in range(j + 1, len(row))
-            if row[j] == row[k]
-        )
-        others = set(row[:j] + row[j + 1 : k] + row[k + 1 :])
+    for j, v in enumerate(row):
+        if count[v] < 2:
+            continue
+        k = row.index(v, j + 1)
         N = 1
-        while (
-            row[j] + m * N in others
-            or row[k] - m * N in others
-            or row[j] + m * N == row[k] - m * N
-        ):
+        while count.get(v + m * N) or count.get(v - m * N):
             N += 1
-        row[j] += m * N
-        row[k] -= m * N
+        row[j], row[k] = v + m * N, v - m * N
+        count[v] -= 2
+        count[row[j]] = count[row[k]] = 1
         moves.append((j, k, N))
     return moves
 
@@ -138,20 +137,22 @@ def _raise_row_magnitude(row: list[int], m: int, threshold: int) -> tuple[int, i
     # Distinctness never rules out an N: non-pivots shift uniformly and
     # pivot - other = (row[j0] - row[j]) + m*k*N > 0 for N >= 1, while
     # N = 0 leaves the (already distinct) row unchanged.
+    # Among violated non-pivots the largest entry pins the largest bound.
+    others = row[:j0] + row[j0 + 1:]
     N = 0
     while True:
         need = N
         if abs(row[j0] + m * (k - 1) * N) <= threshold:
             need = max(need, N + 1, -(-(threshold + 1 - row[j0]) // (m * (k - 1))))
-        for j in range(k):
-            if j != j0 and abs(row[j] - m * N) <= threshold:
-                need = max(need, N + 1, -(-(row[j] + threshold + 1) // m))
+        hit = [x for x in others if abs(x - m * N) <= threshold]
+        if hit:
+            need = max(need, N + 1, -(-(max(hit) + threshold + 1) // m))
         if need == N:
             cand = [
                 row[j] + m * (k - 1) * N if j == j0 else row[j] - m * N
                 for j in range(k)
             ]
-            assert all(abs(x) > threshold for x in cand) and _all_distinct(cand)
+            assert min(map(abs, cand)) > threshold and _all_distinct(cand)
             row[:] = cand
             return j0, N
         N = need
@@ -221,14 +222,14 @@ def verify_assignment(M: AssignmentMatrix) -> tuple[bool, list[str]]:
             violations.append(f"row {i} sums to {s}, expected {inst.a[i]}")
 
     if not inst.regular:
-        for j in range(k):
-            s = sum(x[i][j] for i in range(n))
+        for j, col in enumerate(zip(*x)):
+            s = sum(col)
             if s != inst.b[j]:
                 violations.append(f"column {j} sums to {s}, expected {inst.b[j]}")
     else:
         m = inst.m
-        for j in range(k):
-            s = sum(x[i][j] for i in range(n))
+        for j, col in enumerate(zip(*x)):
+            s = sum(col)
             if (s - inst.b[j]) % m != 0:
                 violations.append(
                     f"column {j} sums to {s} !≡ {inst.b[j]} (mod {m})"

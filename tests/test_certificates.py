@@ -158,6 +158,24 @@ class TestVerifierBounds:
         assert any("not a multiple" in v for v in violations)
         assert any("outside" in v for v in violations)
 
+    def test_most_unit_factors_stay_cheap(self):
+        # the schema's maxItems: 16 factors per unit, here sharing one label
+        # with 4000-digit pairwise distinct odd denominators
+        rng = random.Random(3)
+        factors = [["psi(varpi_F)", "1", str(rng.randrange(10 ** 3999, 10 ** 4000) | 1)]
+                   for _ in range(16)]
+        doc = certificate_to_json(build_cert())
+        doc["psi"]["uniformizer"]["factors"] = factors
+        doc["theta_uniformizer"]["factors"] = copy.deepcopy(factors)
+        validate_certificate_schema(doc)
+        started = time.perf_counter()
+        ok, violations = verify_certificate(doc)
+        assert time.perf_counter() - started < 0.5
+        assert ok, violations
+        doc["theta_uniformizer"]["factors"].append(["psi(varpi_F)", "1", "3"])
+        with pytest.raises(CertificateError, match="at most 16 factors"):
+            validate_certificate_schema(doc)
+
     def test_is_prime_matches_trial_division(self):
         def trial(n):
             return n >= 2 and all(n % k for k in range(2, int(n ** 0.5) + 1))

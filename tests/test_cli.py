@@ -1,4 +1,6 @@
+import copy
 import json
+import time
 
 import pytest
 
@@ -178,3 +180,89 @@ def test_sweep_report_identical_for_any_jobs(capsys, tmp_path):
         assert main(argv + ["--jobs", str(jobs), "--out", str(out)]) == 0
     capsys.readouterr()
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_digits_large_prime_is_fast(capsys):
+    started = time.perf_counter()
+    code, doc = run_cli(capsys, "digits", "--p", str(2 ** 61 - 1), "--f", "1", "--b", "5")
+    assert time.perf_counter() - started < 1.0
+    assert code == 0 and doc["digits"] == ["5"]
+
+
+def test_digits_prime_above_2_64_exit_2(capsys):
+    code, doc = run_cli(capsys, "digits", "--p", str(2 ** 64 + 13), "--f", "1", "--b", "5")
+    assert code == 2 and doc["kind"] == "bad-input"
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "x"])
+def test_sweep_checking_nothing_rejected(capsys, value):
+    code, _ = run_cli(capsys, "sweep", "--p-values", "2", "--thetas-per-cell", value)
+    assert code == 2
+
+
+def test_sweep_all_thetas(capsys, tmp_path):
+    out = tmp_path / "all.json"
+    assert main([
+        "sweep", "--p-values", "2,3", "--f-max", "1", "--e-max", "1", "--d-max", "2",
+        "--thetas-per-cell", "all", "--out", str(out),
+    ]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert report["config"]["thetas_per_cell"] is None
+    per_cell = {}
+    for row in report["instances"]:
+        cell = row["id"].rsplit(",b=", 1)[0]
+        per_cell[cell] = per_cell.get(cell, 0) + 1
+    expected = {f"p={p},f=1,e=1,d={d},t={p - 1}": p ** d - 1 for p in (2, 3) for d in (1, 2)}
+    assert per_cell == expected
+    total = sum(expected.values())
+    assert report["totals"] == {"instances": total, "passed": total, "failed": 0}
+
+
+@pytest.mark.parametrize("text,primes", [
+    ("2-13", [2, 3, 5, 7, 11, 13]),
+    ("5,20-30", [5, 23, 29]),
+    ("3 - 7, 2", [2, 3, 5, 7]),
+])
+def test_sweep_prime_range(capsys, tmp_path, text, primes):
+    out = tmp_path / "r.json"
+    assert main(["sweep", "--p-values", text, "--f-max", "1", "--e-max", "1",
+                 "--d-max", "1", "--thetas-per-cell", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(json.loads(out.read_text())["config"]["p_values"]) == primes
+
+
+def test_sweep_prime_range_stops_at_field_cap(capsys, tmp_path):
+    # primes above 2^max-field-bits have no cell, so a range skips them
+    out = tmp_path / "r.json"
+    started = time.perf_counter()
+    assert main(["sweep", "--p-values", "2-1000000000000", "--max-field-bits", "4",
+                 "--f-max", "1", "--e-max", "1", "--d-max", "1", "--thetas-per-cell", "1",
+                 "--out", str(out)]) == 0
+    assert time.perf_counter() - started < 5.0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["config"]["p_values"] == [2, 3, 5, 7, 11, 13]
+
+
+@pytest.mark.parametrize("text", ["24-28", "4", "-3"])
+def test_sweep_range_without_primes_exit_2(capsys, text):
+    code, _ = run_cli(capsys, "sweep", "--p-values", text)
+    assert code == 2
+
+
+@pytest.mark.parametrize("count,expected", [(16, 0), (17, 2)])
+def test_verify_bounds_unit_factors(capsys, tmp_path, count, expected):
+    cert = tmp_path / "cert.json"
+    _, doc = run_cli(capsys, "lift", "--p", "3", "--f", "1", "--e", "1", "--d", "2",
+                        "--t", "2", "--theta-bar", "5", "--a", "3")
+    # psi(varpi_F) = prod of count factors x^(1/count); theta's value is its negation
+    factors = [["psi(varpi_F)", "1", str(count)]] * count
+    doc["psi"]["uniformizer"]["factors"] = copy.deepcopy(factors)
+    doc["theta_uniformizer"]["factors"] = copy.deepcopy(factors)
+    cert.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "verify", str(cert))
+    assert code == expected
+    if expected == 0:
+        assert out["pass"] is True
+    else:
+        assert out["kind"] == "bad-input" and "factors" in out["error"]

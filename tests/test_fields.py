@@ -7,6 +7,7 @@ from cryslift.fields import (
     MultChar,
     digits,
     from_digits,
+    is_prime,
     norm_exponent,
     restrict,
 )
@@ -116,3 +117,34 @@ def test_round_trip_property(pf, data):
     field = FiniteFieldSpec(p, f)
     b = data.draw(st.integers(0, field.q - 2))
     assert from_digits(digits(MultChar(field, b)), field).b == b
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % k for k in range(2, int(n ** 0.5) + 1))
+
+    # the sieve table below 2^16 and Miller-Rabin above it
+    assert [n for n in range(-2, 200_000) if is_prime(n)] == [
+        n for n in range(-2, 200_000) if trial(n)]
+
+
+@pytest.mark.parametrize("n", [
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051,  # strong pseudoprimes to small bases
+    561, 41041, 825265,  # Carmichael numbers
+    2 ** 64 - 1, 4294967297,  # 2^64 - 1 and F_5 = 641 * 6700417
+])
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("p", [65537, 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64 - 59])
+def test_is_prime_accepts_large_primes(p):
+    assert is_prime(p)
+
+
+def test_primality_is_decided_below_2_64_only():
+    FiniteFieldSpec(2 ** 64 - 59, 1)
+    for p in (2 ** 64 + 13, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="below 2\\^64"):
+            FiniteFieldSpec(p, 1)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cryslift import lifting
 from cryslift.errors import InfeasibleError
 from cryslift.fields import FiniteFieldSpec, MultChar, digits
 from cryslift.lifting import (
@@ -43,6 +44,30 @@ class TestLayout:
         assert len(set(lay.sigma_E)) == lay.size_E
         for s, j in lay.sigma_E:
             assert s // lay.e == j % lay.f  # both restrict to the same sigma_0
+
+    def test_equal_shapes_share_one_layout(self):
+        assert build_layout(make_shape(3, 2, 2, 3)) == build_layout(make_shape(3, 2, 2, 3))
+        # the layout depends on (f, e, d) only, not on p or t
+        assert build_layout(make_shape(3, 2, 2, 3)) is build_layout(make_shape(5, 2, 2, 3, 48))
+
+    @pytest.mark.parametrize("f,e,d", [
+        (f, e, d) for f in range(1, 5) for e in range(1, 5) for d in range(1, 5)
+    ])
+    def test_slice_fibres_match_sigma_E_scans(self, f, e, d):
+        lay = build_layout(make_shape(2, f, e, d))
+        k = tuple(range(100, 100 + lay.size_E))
+        for s in range(lay.size_F):
+            scan = [k[t] for t, (sig, _) in enumerate(lay.sigma_E) if sig == s]
+            assert list(k[lay.F_fibre(s)]) == scan
+        for j0 in range(lay.size_E0):
+            scan = [k[t] for t, (_, j) in enumerate(lay.sigma_E) if j == j0]
+            assert list(k[lay.E0_fibre(j0)]) == scan
+        fibres, _ = induce_weights(WeightAssignment(k), lay)
+        assert fibres == [
+            tuple(sorted((k[t] for t, (sig, _) in enumerate(lay.sigma_E) if sig == s),
+                         reverse=True))
+            for s in range(lay.size_F)
+        ]
 
     def test_invalid_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -204,3 +229,73 @@ class TestIrrCrysLift:
         tb = MultChar(FiniteFieldSpec(2, 3), 5)
         cert = irr_crys_lift(tb, DetSpec((0,), U), shape)
         assert cert.theta_uniformizer == U
+
+
+class TestRecordedChecksCanFail:
+    """Weights that break an identity are recorded as failing it: the
+    weight builder is replaced by one that returns tampered weights."""
+
+    CASES = [(3, 2, 2, 3, 11), (5, 1, 3, 2, 7), (2, 2, 2, 2, 9), (3, 1, 2, 4, 20),
+             (2, 1, 3, 3, 5)]
+
+    @staticmethod
+    def _lift(monkeypatch, case, tamper):
+        p, f, e, d, b = case
+        shape = make_shape(p, f, e, d)
+        tb = MultChar(FiniteFieldSpec(p, f * d), b)
+        bd = digits(tb).digits
+        a = []
+        for i0 in range(f):
+            block = [2 * i0 + 1] * e
+            block[0] += (sum(bd[j] for j in range(i0, f * d, f)) - sum(block)) % (p - 1)
+            a.extend(block)
+        build = lifting._build_weights
+
+        def tampered(*args):
+            k = list(build(*args))
+            tamper(k, d)
+            return tuple(k)
+
+        monkeypatch.setattr(lifting, "_build_weights", tampered)
+        return irr_crys_lift(tb, DetSpec(tuple(a), U), shape).checks
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_untampered_weights_pass(self, monkeypatch, case):
+        checks = self._lift(monkeypatch, case, lambda k, d: None)
+        assert all(v is not False for v in checks.values())
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("index", [0, 1, -1])
+    def test_perturbed_entry_breaks_det_on_units(self, monkeypatch, case, index):
+        def perturb(k, d):
+            k[index] += 1
+
+        assert self._lift(monkeypatch, case, perturb)["det_on_units"] is False
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_swap_across_fibres_breaks_det_on_units(self, monkeypatch, case):
+        def swap(k, d):  # first entries of the Sigma_F fibres 0 and 1
+            k[0], k[d] = k[d], k[0]
+
+        assert self._lift(monkeypatch, case, swap)["det_on_units"] is False
+
+    @pytest.mark.parametrize("case", [c for c in CASES if c[0] > 2])
+    def test_shift_within_fibre_breaks_lifts_theta_bar(self, monkeypatch, case):
+        def shift(k, d):  # keeps the row sum, moves two column sums by +-1
+            k[0] += 1
+            k[1] -= 1
+
+        checks = self._lift(monkeypatch, case, shift)
+        assert checks["det_on_units"] is True
+        assert checks["lifts_theta_bar"] is False
+
+    @pytest.mark.parametrize("case", [c for c in CASES if c[0] == 2])
+    def test_repeated_weight_breaks_weights_distinct(self, monkeypatch, case):
+        def repeat(k, d):  # p = 2: every column congruence is mod 1
+            delta = k[d] - k[0]
+            k[0] += delta
+            k[1] -= delta
+
+        checks = self._lift(monkeypatch, case, repeat)
+        assert checks["det_on_units"] is True and checks["lifts_theta_bar"] is True
+        assert checks["weights_distinct"] is False

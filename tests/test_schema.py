@@ -241,6 +241,9 @@ DEN = ("psi", "uniformizer", "factors", 0, 2)
     (("self_check",), "fail", True),
     (("self_check",), "ok", False),
     (("extra",), 1, False),
+    (("psi", "uniformizer", "factors"), [["x", "1", "1"]] * 16, True),
+    (("psi", "uniformizer", "factors"), [["x", "1", "1"]] * 17, False),
+    (("theta_uniformizer", "factors"), [["y", "-1", "7"]] * 17, False),
 ])
 def test_certificate_edge_cases(path, value, accepted):
     doc = _set(CERT, path, value)

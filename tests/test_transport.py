@@ -7,6 +7,8 @@ from cryslift.errors import InfeasibleError
 from cryslift.transport import (
     AssignmentMatrix,
     TransportInstance,
+    _fix_row_duplicates,
+    _raise_row_magnitude,
     regular_transport,
     transport,
     verify_assignment,
@@ -97,6 +99,84 @@ class TestRegularTransport:
         for event in sol.trace:
             assert event["before"]["row_sums"] == event["after"]["row_sums"]
             assert event["before"]["col_residues"] == event["after"]["col_residues"]
+
+
+def _fix_row_duplicates_reference(row, m):
+    """The quadratic rescan: after every move, search the lowest-index
+    duplicate pair afresh and rebuild the set of the other entries."""
+    moves = []
+    while len(set(row)) != len(row):
+        j, k = next(
+            (j, k)
+            for j in range(len(row))
+            for k in range(j + 1, len(row))
+            if row[j] == row[k]
+        )
+        others = set(row[:j] + row[j + 1 : k] + row[k + 1 :])
+        N = 1
+        while (
+            row[j] + m * N in others
+            or row[k] - m * N in others
+            or row[j] + m * N == row[k] - m * N
+        ):
+            N += 1
+        row[j] += m * N
+        row[k] -= m * N
+        moves.append((j, k, N))
+    return moves
+
+
+def _raise_row_magnitude_reference(row, m, threshold):
+    """The entry-by-entry scan for the smallest admissible N."""
+    k = len(row)
+    j0 = row.index(max(row))
+    N = 0
+    while True:
+        need = N
+        if abs(row[j0] + m * (k - 1) * N) <= threshold:
+            need = max(need, N + 1, -(-(threshold + 1 - row[j0]) // (m * (k - 1))))
+        for j in range(k):
+            if j != j0 and abs(row[j] - m * N) <= threshold:
+                need = max(need, N + 1, -(-(row[j] + threshold + 1) // m))
+        if need == N:
+            row[:] = [
+                row[j] + m * (k - 1) * N if j == j0 else row[j] - m * N
+                for j in range(k)
+            ]
+            return j0, N
+        N = need
+
+
+class TestRowMovesMatchReference:
+    """The incremental row fixes make exactly the moves of the plain
+    rescans they replace."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=12), st.integers(1, 6))
+    def test_fix_row_duplicates(self, row, m):
+        expected = list(row)
+        expected_moves = _fix_row_duplicates_reference(expected, m)
+        assert _fix_row_duplicates(row, m) == expected_moves
+        assert row == expected
+        assert len(set(row)) == len(row)
+
+    def test_fix_row_duplicates_all_equal(self):
+        row = [0] * 12
+        expected = list(row)
+        assert _fix_row_duplicates(row, 1) == _fix_row_duplicates_reference(expected, 1)
+        assert row == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(st.integers(-60, 60), min_size=2, max_size=12, unique=True),
+        st.integers(1, 6),
+        st.integers(0, 100),
+    )
+    def test_raise_row_magnitude(self, row, m, threshold):
+        expected = list(row)
+        assert _raise_row_magnitude(row, m, threshold) == _raise_row_magnitude_reference(
+            expected, m, threshold)
+        assert row == expected
 
 
 class TestVerifyAssignment:
