@@ -53,6 +53,23 @@ def _thetas_per_cell(text: str) -> int | None:
     return None if text == "all" else int(text)
 
 
+def _json(text: str):
+    """Parse user JSON; nesting deeper than the parser's recursion limit is
+    malformed input, not an internal error."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+
+
+def _profile(text: str) -> WeightProfile:
+    rows = _json(text)
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and all(type(w) is int for w in row) for row in rows)):
+        raise ValueError("a weight profile is a JSON list of lists of integers")
+    return WeightProfile(tuple(tuple(row) for row in rows))
+
+
 def cmd_digits(args: argparse.Namespace) -> int:
     c = MultChar(FiniteFieldSpec(args.p, args.f), args.b)
     d = digits(c)
@@ -125,9 +142,7 @@ def cmd_induction(args: argparse.Namespace) -> int:
 
 def cmd_twist(args: argparse.Namespace) -> int:
     shape = LocalFieldShape(args.p, args.f, args.e, args.d, args.t)
-    rho = WeightProfile(tuple(tuple(t) for t in json.loads(args.rho)))
-    rho_x = WeightProfile(tuple(tuple(t) for t in json.loads(args.rho_x)))
-    theta = twist_shout(rho, rho_x, shape)
+    theta = twist_shout(_profile(args.rho), _profile(args.rho_x), shape)
     _emit({
         "k": [str(v) for v in theta.k],
         "uniformizer": theta.uniformizer.to_json(),
@@ -174,7 +189,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         with open(args.certificate) as fh:
             text = fh.read()
-    obj = json.loads(text)
+    obj = _json(text)
     certio.validate_certificate_schema(obj)  # CertificateError -> exit 2
     ok, violations = verify.verify_certificate(obj)
     _emit({"pass": ok, "violations": violations})

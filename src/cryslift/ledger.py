@@ -71,27 +71,21 @@ def shift_for_extension(
     p1: WeightProfile,
     p2: WeightProfile,
     p: int,
-    separation_predicate=None,
 ) -> tuple[int, WeightProfile, WeightProfile, dict]:
     """Smallest N making p1 + d2(p-1)N all-positive and p2 - d1(p-1)N
     all-negative; cyclotomic convention: weight 1 per twist.
 
-    The ledger records the determinant shifts +-d1*d2*(p-1)*N, which
-    cancel, so the product of the shifted determinants is unchanged.
+    The least N with c*N > x is x // c + 1, so N is read off the smallest
+    weight of p1 and the largest of p2.  The ledger records the
+    determinant shifts +-d1*d2*(p-1)*N, which cancel, so the product of
+    the shifted determinants is unchanged.
     """
+    if p < 2:
+        raise ValueError(f"p={p} must be at least 2")
     d1, d2 = p1.dim, p2.dim
     step = p - 1
-    N = 0
-    while True:
-        ok1 = all(w + d2 * step * N > 0 for w in p1.all_weights())
-        ok2 = all(w - d1 * step * N < 0 for w in p2.all_weights())
-        if ok1 and ok2:
-            break
-        N += 1
-        # a large enough N always works; guard against a logic error
-        assert N <= max(
-            (abs(w) for w in (*p1.all_weights(), *p2.all_weights())), default=0
-        ) + 2, "minimal-N scan ran past the guaranteed bound"
+    N = max(0, -min(p1.all_weights()) // (d2 * step) + 1,
+            max(p2.all_weights()) // (d1 * step) + 1)
     if N >= 1:
         prev_ok = all(
             w + d2 * step * (N - 1) > 0 for w in p1.all_weights()
@@ -112,9 +106,7 @@ def shift_for_extension(
         == tuple(
             s1 + s2 for s1, s2 in zip(p1.det_exponents(), p2.det_exponents())
         ),
-        "slightly_less": (separation_predicate or _slightly_less)(
-            p1_shifted, p2_shifted
-        ),
+        "slightly_less": _slightly_less(p1_shifted, p2_shifted),
     }
     assert ledger["det_sum_preserved"]
     return N, p1_shifted, p2_shifted, ledger
@@ -123,11 +115,10 @@ def shift_for_extension(
 def _slightly_less(p1: WeightProfile, p2: WeightProfile) -> bool:
     """Convention-dependent separation predicate.
 
-    Default: per embedding, every weight of p1 strictly above every
-    weight of p2, which is "below" once the cyclotomic-weight sign
-    convention is flipped and is the reading consistent with the
-    all-positive/all-negative split.  Pass a different predicate to
-    shift_for_extension to change the convention.
+    Per embedding, every weight of p1 strictly above every weight of p2,
+    which is "below" once the cyclotomic-weight sign convention is
+    flipped and is the reading consistent with the
+    all-positive/all-negative split.
     """
     return all(
         min(t1) > max(t2) for t1, t2 in zip(p1.weights, p2.weights)
@@ -143,7 +134,6 @@ def twist_shout(
     rho_weights: WeightProfile,
     rho_x_weights: WeightProfile,
     shape: LocalFieldShape,
-    eta_label: str = "eta(varpi_F)",
 ) -> CrystCharSpec:
     """Fixed-determinant twist: the character theta with rho_x (x) theta
     matching rho's determinant.
@@ -182,4 +172,4 @@ def twist_shout(
     assert all(
         dx + d * ks == dr for dx, ks, dr in zip(det_rho_x, k, det_rho)
     ), "determinant exponents do not balance"
-    return CrystCharSpec(k, dth_root_correction(UnitExpr.symbol(eta_label), d))
+    return CrystCharSpec(k, dth_root_correction(UnitExpr.symbol("eta(varpi_F)"), d))

@@ -14,9 +14,12 @@ canonically:
   element i0 + f*l of J_{i0}; global index i0*e*d + r*d + l.
 
 These orderings are part of the certificate wire format, and they make
-every fibre a slice of the Sigma_E-indexed weights: the Sigma_F fibre of
-s is the contiguous slice k[s*d:(s+1)*d], and the Sigma_E0 fibre of
-j = i0 + f*l is the stride-d slice k[i0*e*d + l:(i0+1)*e*d:d].
+every block and fibre a slice: the i0-block of psi.a is a[i0*e:(i0+1)*e],
+the J-block of theta_bar's digits is b[i0::f], the Sigma_F fibre of s is
+the contiguous slice k[s*d:(s+1)*d] of the Sigma_E-indexed weights, and
+the Sigma_E0 fibre of j = i0 + f*l is the stride-d slice
+k[i0*e*d + l:(i0+1)*e*d:d].  EmbeddingLayout's slice methods are the
+builder's only implementation of this order.
 
 The weight construction solves, per i0-block, a distinct-entry
 transportation problem: rows are the e embeddings of F above i0 with
@@ -28,7 +31,6 @@ weights globally distinct.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from .errors import InfeasibleError
@@ -66,27 +68,21 @@ class LocalFieldShape:
         return self.p ** self.f
 
     @property
-    def residue_field_F(self) -> FiniteFieldSpec:
-        return FiniteFieldSpec(self.p, self.f)
-
-    @property
     def residue_field_E(self) -> FiniteFieldSpec:
         return FiniteFieldSpec(self.p, self.f * self.d)
 
 
 @dataclass(frozen=True)
 class EmbeddingLayout:
-    """Index sets for Sigma_F, Sigma_E0, Sigma_E in the canonical order."""
+    """The canonical order of Sigma_F, Sigma_E0 and Sigma_E for (f, e, d).
+
+    Every block and fibre of that order is a slice, computed on demand;
+    the layout stores nothing else.
+    """
 
     f: int
     e: int
     d: int
-    # block i0 -> list of global Sigma_F indices (the e embeddings above i0)
-    I_blocks: tuple[tuple[int, ...], ...]
-    # block i0 -> list of Sigma_E0 indices (the d embeddings above i0)
-    J_blocks: tuple[tuple[int, ...], ...]
-    # Sigma_E index -> (Sigma_F index, Sigma_E0 index)
-    sigma_E: tuple[tuple[int, int], ...]
 
     @property
     def size_F(self) -> int:
@@ -100,10 +96,18 @@ class EmbeddingLayout:
     def size_E(self) -> int:
         return self.e * self.f * self.d
 
-    def E_block(self, i0: int) -> range:
-        """Global Sigma_E indices of the i0-block."""
+    def F_block(self, i0: int) -> slice:
+        """Sigma_F indices above i0: the e determinant exponents of the block."""
+        return slice(i0 * self.e, (i0 + 1) * self.e)
+
+    def J_block(self, i0: int) -> slice:
+        """Sigma_E0 indices above i0: the d digits i0, i0 + f, ... of theta_bar."""
+        return slice(i0, self.f * self.d, self.f)
+
+    def E_block(self, i0: int) -> slice:
+        """Sigma_E indices above i0."""
         w = self.e * self.d
-        return range(i0 * w, (i0 + 1) * w)
+        return slice(i0 * w, (i0 + 1) * w)
 
     def F_fibre(self, s: int) -> slice:
         """Sigma_E indices above the Sigma_F index s."""
@@ -116,21 +120,8 @@ class EmbeddingLayout:
 
 
 def build_layout(shape: LocalFieldShape) -> EmbeddingLayout:
-    """Enumerate the embedding index sets for a valid shape (cached per (f, e, d))."""
-    return _layout(shape.f, shape.e, shape.d)
-
-
-@functools.lru_cache(maxsize=1024)
-def _layout(f: int, e: int, d: int) -> EmbeddingLayout:
-    I_blocks = tuple(tuple(i0 * e + r for r in range(e)) for i0 in range(f))
-    J_blocks = tuple(tuple(i0 + f * l for l in range(d)) for i0 in range(f))
-    sigma_E = tuple(
-        (i0 * e + r, i0 + f * l)
-        for i0 in range(f)
-        for r in range(e)
-        for l in range(d)
-    )
-    return EmbeddingLayout(f, e, d, I_blocks, J_blocks, sigma_E)
+    """The embedding layout of a valid shape; it depends on (f, e, d) only."""
+    return EmbeddingLayout(shape.f, shape.e, shape.d)
 
 
 @dataclass(frozen=True)
@@ -181,11 +172,10 @@ def _digits_and_compat(theta_bar: MultChar, psi: DetSpec, layout: EmbeddingLayou
         raise ValueError("theta_bar lives over the wrong residue field")
     psi.validate(layout)
     b = digits(theta_bar).digits
-    e, f = layout.e, layout.f
     # p = 2 makes the modulus 1 and the condition vacuous
     return b, all(
-        (sum(psi.a[i0 * e:(i0 + 1) * e]) - sum(b[i0::f])) % (shape.p - 1) == 0
-        for i0 in range(f)
+        (sum(psi.a[layout.F_block(i0)]) - sum(b[layout.J_block(i0)])) % (shape.p - 1) == 0
+        for i0 in range(layout.f)
     )
 
 
@@ -212,11 +202,10 @@ def _build_weights(b: tuple[int, ...], a: tuple[int, ...], layout: EmbeddingLayo
     distinct-entry transport per i0-block (k = a when d = 1)."""
     if layout.d == 1:
         return tuple(a)
-    e, f = layout.e, layout.f
     k: list[int] = []
     C = 0
-    for i0 in range(f):
-        sol = regular_transport(a[i0 * e:(i0 + 1) * e], b[i0::f], p - 1, C)
+    for i0 in range(layout.f):
+        sol = regular_transport(a[layout.F_block(i0)], b[layout.J_block(i0)], p - 1, C)
         ok, violations = verify_assignment(sol)
         assert ok, f"solver output failed its own checker: {violations}"
         for row in sol.entries:
@@ -258,7 +247,7 @@ def induce_weights(
 
 
 def _block_separation_holds(k: tuple[int, ...], layout: EmbeddingLayout) -> bool:
-    blocks = [[abs(k[t]) for t in layout.E_block(i0)] for i0 in range(layout.f)]
+    blocks = [[abs(v) for v in k[layout.E_block(i0)]] for i0 in range(layout.f)]
     return all(max(lo) < min(hi) for lo, hi in zip(blocks, blocks[1:]))
 
 

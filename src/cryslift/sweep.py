@@ -17,7 +17,9 @@ from dataclasses import asdict, dataclass
 from .certio import REPORT_SCHEMA_ID, certificate_to_json
 from .errors import InfeasibleError
 from .fields import MultChar, digits, is_prime
-from .lifting import DetSpec, LocalFieldShape, irr_crys_lift
+from .lifting import (
+    DetSpec, EmbeddingLayout, LocalFieldShape, build_layout, irr_crys_lift,
+)
 from .units import UnitExpr
 from .verify import verify_certificate
 
@@ -80,17 +82,15 @@ def iter_cells(config: SweepConfig) -> list[Cell]:
 
 
 def _force_compat(
-    rng: random.Random, shape: LocalFieldShape, theta_bar: MultChar, bound: int
+    rng: random.Random, layout: EmbeddingLayout, b: tuple[int, ...], p: int, bound: int
 ) -> tuple[int, ...]:
     """Sample determinant exponents |a| <= bound and adjust one entry per
-    unramified block so the compatibility congruence holds."""
-    p, e, f, d = shape.p, shape.e, shape.f, shape.d
-    b = digits(theta_bar).digits
+    unramified block so that it meets its J-block of theta_bar's digits b
+    in the compatibility congruence."""
     a: list[int] = []
-    for i0 in range(f):
-        block = [rng.randint(-bound, bound) for _ in range(e)]
-        target = sum(b[j] for j in range(i0, f * d, f))
-        delta = (target - sum(block)) % (p - 1)
+    for i0 in range(layout.f):
+        block = [rng.randint(-bound, bound) for _ in range(layout.e)]
+        delta = (sum(b[layout.J_block(i0)]) - sum(block)) % (p - 1)
         block[0] += delta
         while block[0] > bound and block[0] - (p - 1) >= -bound:
             block[0] -= p - 1
@@ -107,12 +107,13 @@ def run_cell(cell: Cell, config: SweepConfig) -> list[dict]:
         bs = range(big_q - 1)
     else:
         bs = sorted(rng.sample(range(big_q - 1), config.thetas_per_cell))
+    layout = build_layout(shape)
     field_E = shape.residue_field_E
     psi_unif = UnitExpr.symbol("psi(varpi_F)")
     rows = []
     for b in bs:
         theta_bar = MultChar(field_E, b)
-        a = _force_compat(rng, shape, theta_bar, config.a_bound)
+        a = _force_compat(rng, layout, digits(theta_bar).digits, cell.p, config.a_bound)
         psi = DetSpec(a, psi_unif)
         row_id = f"{cell.key},b={b}"
         try:

@@ -1,6 +1,9 @@
 import copy
 import json
+import re
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -266,3 +269,58 @@ def test_verify_bounds_unit_factors(capsys, tmp_path, count, expected):
         assert out["pass"] is True
     else:
         assert out["kind"] == "bad-input" and "factors" in out["error"]
+
+
+def test_verify_deeply_nested_json_exit_2(capsys, tmp_path):
+    cert = tmp_path / "deep.json"
+    cert.write_text("[" * 200_000)
+    code, doc = run_cli(capsys, "verify", str(cert))
+    assert code == 2
+    assert doc["kind"] == "bad-input" and "nested" in doc["error"]
+
+
+def test_twist_deeply_nested_json_exit_2(capsys):
+    code, doc = run_cli(
+        capsys, "twist", "--p", "3", "--f", "1", "--e", "1", "--d", "2",
+        "--t", "2", "--rho", "[" * 20_000, "--rho-x", "[[1,-3]]",
+    )
+    assert code == 2
+    assert doc["kind"] == "bad-input" and "nested" in doc["error"]
+
+
+@pytest.mark.parametrize("rho", [
+    '[["b","a"]]', "[[5.0,1]]", "[[[1],[0]]]", "[[true,false]]", "5", "[5]", "null",
+    '{"a":1}', "[]",
+])
+def test_twist_profile_not_integer_lists_exit_2(capsys, rho):
+    code, doc = run_cli(
+        capsys, "twist", "--p", "3", "--f", "1", "--e", "1", "--d", "2",
+        "--t", "2", "--rho", rho, "--rho-x", "[[1,-3]]",
+    )
+    assert code == 2
+    assert doc["kind"] == "bad-input"
+
+
+def _readme_cli_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = re.search(r"```text\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_cli_examples_exit_0(capsys, tmp_path, monkeypatch):
+    """Every command of the README's CLI block runs as written; verify reads
+    the certificate that the lift line printed."""
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_cli_commands()
+    assert [argv[1] for argv in commands] == [
+        "digits", "transport", "regular", "lift", "verify", "induction", "twist", "sweep"]
+    cert = next(argv[2] for argv in commands if argv[1] == "verify")
+    for argv in commands:
+        assert argv[0] == "cryslift"
+        code = main(argv[1:])
+        out = capsys.readouterr().out
+        assert code == 0, (argv, out)
+        if argv[1] == "lift":
+            Path(cert).write_text(out)
+    assert json.loads(Path("report.json").read_text())["totals"]["failed"] == 0

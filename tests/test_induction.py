@@ -129,3 +129,36 @@ class TestVerifyDetInduction:
                 m = FrobeniusModel(q, d)
                 for b in range(min(m.M, 40)):
                     assert verify_det_induction(m, b)["pass"], (q, d, b)
+
+
+class TestOracleCatchesWrongDeterminant:
+    """det_of is made to return an exponent off by one; an oracle that can
+    fail must report the identity broken."""
+
+    CASE = (4, 3, 17)
+
+    @staticmethod
+    def _perturb(monkeypatch):
+        from cryslift import induction
+
+        exact = induction.det_of
+
+        def off_by_one(rep, element):
+            sign, exp = exact(rep, element)
+            return sign, (exp + 1) % rep.model.M
+
+        monkeypatch.setattr(induction, "det_of", off_by_one)
+
+    def test_loop_path_catches_it(self, monkeypatch):
+        q, d, b = self.CASE
+        self._perturb(monkeypatch)
+        report = verify_det_induction(FrobeniusModel(q, d), b, use_numpy=False)
+        assert not report["pass"]
+        assert {c["where"] for c in report["counterexamples"]} == {"H", "generators"}
+
+    @pytest.mark.xfail(strict=True, reason="the vectorized path never reads det_of's "
+                       "exponents: both of its sides follow from sum b*q^i = b*N mod M")
+    def test_default_path_catches_it(self, monkeypatch):
+        q, d, b = self.CASE
+        self._perturb(monkeypatch)
+        assert not verify_det_induction(FrobeniusModel(q, d), b)["pass"]

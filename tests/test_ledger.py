@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,47 @@ class TestShiftForExtension:
                 assert any(w <= 0 for w in bad1.all_weights()) or any(
                     w >= 0 for w in bad2.all_weights()
                 )
+
+    def test_wide_weights_in_closed_form(self):
+        started = time.perf_counter()
+        N, s1, s2, ledger = shift_for_extension(
+            WeightProfile(((-10 ** 6, -10 ** 6 - 1),)),
+            WeightProfile(((10 ** 6 + 1, 10 ** 6),)), 2,
+        )
+        assert time.perf_counter() - started < 0.1
+        assert N == 500001
+        assert s1.weights == ((2, 1),)
+        assert s2.weights == ((-1, -2),)
+
+    @given(
+        p=st.sampled_from([2, 3, 5, 7, 101, 2 ** 61 - 1]),
+        n=st.integers(1, 3),
+        d1=st.integers(1, 4),
+        d2=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_least_shift_for_wide_weights(self, p, n, d1, d2, data):
+        def profile(d):
+            weight = st.integers(-10 ** 12, 10 ** 12)
+            rows = data.draw(st.lists(st.lists(weight, min_size=d, max_size=d),
+                                      min_size=n, max_size=n))
+            return WeightProfile(tuple(tuple(sorted(r, reverse=True)) for r in rows))
+
+        prof1, prof2 = profile(d1), profile(d2)
+        N, s1, s2, ledger = shift_for_extension(prof1, prof2, p)
+        assert all(w > 0 for w in s1.all_weights())
+        assert all(w < 0 for w in s2.all_weights())
+        assert ledger["slightly_less"] and ledger["det_sum_preserved"]
+        if N >= 1:
+            bad1 = twist(prof1, d2 * (p - 1) * (N - 1))
+            bad2 = twist(prof2, -d1 * (p - 1) * (N - 1))
+            assert any(w <= 0 for w in bad1.all_weights()) or any(
+                w >= 0 for w in bad2.all_weights()
+            )
+
+    def test_p_below_2_rejected(self):
+        with pytest.raises(ValueError):
+            shift_for_extension(WeightProfile(((0,),)), WeightProfile(((0,),)), 1)
 
 
 class TestDthRoot:

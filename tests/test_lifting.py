@@ -24,6 +24,13 @@ def make_shape(p, f, e, d, t=None):
     return LocalFieldShape(p, f, e, d, t if t is not None else p ** f - 1)
 
 
+def sigma_E_pairs(f, e, d):
+    """(Sigma_F index, Sigma_E0 index) of every Sigma_E index, enumerated
+    from the wire-format definition: the flat index i0*e*d + r*d + l is
+    the embedding above i0*e + r and i0 + f*l."""
+    return [(i0 * e + r, i0 + f * l) for i0 in range(f) for r in range(e) for l in range(d)]
+
+
 class TestLayout:
     def test_counting_small(self):
         lay = build_layout(make_shape(3, 1, 1, 2))
@@ -32,8 +39,10 @@ class TestLayout:
     def test_counting_ramified(self):
         lay = build_layout(make_shape(2, 2, 3, 2))
         assert (lay.size_F, lay.size_E0, lay.size_E) == (6, 4, 12)
-        assert all(len(I) == 3 for I in lay.I_blocks)
-        assert all(len(J) == 2 for J in lay.J_blocks)
+        a, b, k = range(lay.size_F), range(lay.size_E0), range(lay.size_E)
+        assert all(len(a[lay.F_block(i0)]) == 3 for i0 in range(lay.f))
+        assert all(len(b[lay.J_block(i0)]) == 2 for i0 in range(lay.f))
+        assert all(len(k[lay.E_block(i0)]) == 6 for i0 in range(lay.f))
 
     def test_degenerate_d1(self):
         lay = build_layout(make_shape(5, 1, 1, 1))
@@ -41,30 +50,43 @@ class TestLayout:
 
     def test_pairing_bijection(self):
         lay = build_layout(make_shape(3, 2, 2, 3))
-        assert len(set(lay.sigma_E)) == lay.size_E
-        for s, j in lay.sigma_E:
-            assert s // lay.e == j % lay.f  # both restrict to the same sigma_0
+        idx = range(lay.size_E)
+        above_F = {t: s for s in range(lay.size_F) for t in idx[lay.F_fibre(s)]}
+        above_E0 = {t: j for j in range(lay.size_E0) for t in idx[lay.E0_fibre(j)]}
+        assert len(above_F) == len(above_E0) == lay.size_E  # the fibres cover Sigma_E
+        assert len({(above_F[t], above_E0[t]) for t in idx}) == lay.size_E
+        for t in idx:
+            # both restrict to the same sigma_0
+            assert above_F[t] // lay.e == above_E0[t] % lay.f
 
     def test_equal_shapes_share_one_layout(self):
         assert build_layout(make_shape(3, 2, 2, 3)) == build_layout(make_shape(3, 2, 2, 3))
         # the layout depends on (f, e, d) only, not on p or t
-        assert build_layout(make_shape(3, 2, 2, 3)) is build_layout(make_shape(5, 2, 2, 3, 48))
+        assert build_layout(make_shape(3, 2, 2, 3)) == build_layout(make_shape(5, 2, 2, 3, 48))
 
     @pytest.mark.parametrize("f,e,d", [
         (f, e, d) for f in range(1, 5) for e in range(1, 5) for d in range(1, 5)
     ])
     def test_slice_fibres_match_sigma_E_scans(self, f, e, d):
         lay = build_layout(make_shape(2, f, e, d))
+        pairs = sigma_E_pairs(f, e, d)
         k = tuple(range(100, 100 + lay.size_E))
         for s in range(lay.size_F):
-            scan = [k[t] for t, (sig, _) in enumerate(lay.sigma_E) if sig == s]
+            scan = [k[t] for t, (sig, _) in enumerate(pairs) if sig == s]
             assert list(k[lay.F_fibre(s)]) == scan
         for j0 in range(lay.size_E0):
-            scan = [k[t] for t, (_, j) in enumerate(lay.sigma_E) if j == j0]
+            scan = [k[t] for t, (_, j) in enumerate(pairs) if j == j0]
             assert list(k[lay.E0_fibre(j0)]) == scan
+        for i0 in range(f):
+            assert list(range(lay.size_F)[lay.F_block(i0)]) == [
+                s for s in range(lay.size_F) if s // e == i0]
+            assert list(range(lay.size_E0)[lay.J_block(i0)]) == [
+                j for j in range(lay.size_E0) if j % f == i0]
+            assert list(k[lay.E_block(i0)]) == [
+                k[t] for t, (sig, _) in enumerate(pairs) if sig // e == i0]
         fibres, _ = induce_weights(WeightAssignment(k), lay)
         assert fibres == [
-            tuple(sorted((k[t] for t, (sig, _) in enumerate(lay.sigma_E) if sig == s),
+            tuple(sorted((k[t] for t, (sig, _) in enumerate(pairs) if sig == s),
                          reverse=True))
             for s in range(lay.size_F)
         ]
@@ -107,9 +129,10 @@ def check_lift_conditions(k, theta_bar, a, shape):
     """Conditions of the weight construction, recomputed from scratch."""
     lay = build_layout(shape)
     p, e, d, f = shape.p, shape.e, shape.d, shape.f
+    pairs = sigma_E_pairs(f, e, d)
     # (3): exact sums over Sigma_F fibres
     for s in range(lay.size_F):
-        assert sum(k.k[t] for t, (sig, _) in enumerate(lay.sigma_E) if sig == s) == a[s]
+        assert sum(k.k[t] for t, (sig, _) in enumerate(pairs) if sig == s) == a[s]
     if d == 1:
         return
     # (1): global distinctness
@@ -117,12 +140,12 @@ def check_lift_conditions(k, theta_bar, a, shape):
     # (2): digit congruences over Sigma_E0 fibres
     b = digits(theta_bar).digits
     for j0 in range(lay.size_E0):
-        tot = sum(k.k[t] for t, (_, j) in enumerate(lay.sigma_E) if j == j0)
+        tot = sum(k.k[t] for t, (_, j) in enumerate(pairs) if j == j0)
         assert (tot - b[j0]) % (p - 1) == 0
     # block separation in canonical sigma_0 order
     prev = None
     for i0 in range(f):
-        block = [abs(k.k[t]) for t in lay.E_block(i0)]
+        block = [abs(v) for v in k.k[lay.E_block(i0)]]
         if prev is not None:
             assert min(block) > prev
         prev = max(block)
