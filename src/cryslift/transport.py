@@ -8,18 +8,21 @@ Two solvers:
 
 * :func:`regular_transport` additionally makes all entries pairwise
   distinct with magnitude above a threshold C, at the price of relaxing
-  column sums to congruences mod m.  Entries of later rows dominate
-  earlier rows in absolute value, which is what makes global
-  distinctness and downstream block separation work.
+  column sums to congruences mod m.  Each row is built directly as
+  base + m*y: the base is the exact :func:`transport` solution for column
+  targets congruent to b, and y is a vector of offsets summing to zero,
+  so row sums stay exact and column sums stay in their classes mod m.
+  The offsets are spaced far enough apart to make the row distinct and
+  start high enough to put every entry above the previous row's largest
+  (C for the first row), which gives global distinctness and block
+  separation.  Magnitudes grow additively from row to row for an even
+  number of columns and by about a factor 2 per row for an odd number.
 
-Both are deterministic: all tie-breaks are lowest-index, and every
-rebalancing step uses the smallest multiplier N that clears its
-constraints.
+Both are deterministic closed forms, with no search.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import InfeasibleError
@@ -98,64 +101,16 @@ def _all_distinct(xs: list[int]) -> bool:
     return len(set(xs)) == len(xs)
 
 
-def _fix_row_duplicates(row: list[int], m: int) -> list[tuple[int, int, int]]:
-    """Make row entries pairwise distinct by +-m*N swaps; returns the moves.
-
-    Each move takes the lowest-index duplicate pair (j, k) and the smallest
-    N >= 1 that moves both entries to values absent from the row.  No move
-    creates a duplicate, so j only advances.
-    """
-    count = Counter(row)
-    moves = []
-    for j, v in enumerate(row):
-        if count[v] < 2:
-            continue
-        k = row.index(v, j + 1)
-        N = 1
-        while count.get(v + m * N) or count.get(v - m * N):
-            N += 1
-        row[j], row[k] = v + m * N, v - m * N
-        count[v] -= 2
-        count[row[j]] = count[row[k]] = 1
-        moves.append((j, k, N))
-    return moves
-
-
-def _raise_row_magnitude(row: list[int], m: int, threshold: int) -> tuple[int, int]:
-    """Push all |entries| strictly above threshold, preserving the row sum.
-
-    Adds m*(k-1)*N to the largest entry (lowest index on ties) and
-    subtracts m*N from every other entry, for the smallest N that works.
-    Distinctness is preserved: non-pivot entries shift uniformly and the
-    pivot only grows away from them.
-    """
-    k = len(row)
-    j0 = row.index(max(row))
-    # The smallest admissible N is found by jumping: the pivot grows and
-    # every other entry shrinks monotonically in N, so a violated
-    # constraint at N pins an exact lower bound for any larger valid N.
-    # Distinctness never rules out an N: non-pivots shift uniformly and
-    # pivot - other = (row[j0] - row[j]) + m*k*N > 0 for N >= 1, while
-    # N = 0 leaves the (already distinct) row unchanged.
-    # Among violated non-pivots the largest entry pins the largest bound.
-    others = row[:j0] + row[j0 + 1:]
-    N = 0
-    while True:
-        need = N
-        if abs(row[j0] + m * (k - 1) * N) <= threshold:
-            need = max(need, N + 1, -(-(threshold + 1 - row[j0]) // (m * (k - 1))))
-        hit = [x for x in others if abs(x - m * N) <= threshold]
-        if hit:
-            need = max(need, N + 1, -(-(max(hit) + threshold + 1) // m))
-        if need == N:
-            cand = [
-                row[j] + m * (k - 1) * N if j == j0 else row[j] - m * N
-                for j in range(k)
-            ]
-            assert min(map(abs, cand)) > threshold and _all_distinct(cand)
-            row[:] = cand
-            return j0, N
-        N = need
+def _offsets(k: int, T: int, s: int) -> list[int]:
+    """k >= 2 offsets summing to zero, each of magnitude >= T, pairwise
+    at least s apart (given 2T >= s): pairs +-(T + s*t), and for odd k a
+    closing triple (U, U + s, -(2U + s)) continuing the progression."""
+    pairs = (k - 3) // 2 if k % 2 else k // 2
+    y = [v for t in range(pairs) for v in (T + s * t, -(T + s * t))]
+    if k % 2:
+        U = T + s * pairs
+        y += [U, U + s, -(2 * U + s)]
+    return y
 
 
 def regular_transport(
@@ -169,41 +124,37 @@ def regular_transport(
 
     Entries are pairwise distinct across the whole matrix and satisfy
     |x_ij| > C; moreover max|row i| < min|row i+1| (block separation).
+
+    Row i is base_i + m*y_i.  With P the previous row's largest |entry|
+    (C for the first row) and B = max|base_i|, the stride s = 2B//m + 1
+    makes m*s > 2B, so offsets s apart keep the entries distinct, and
+    T = (P + B)//m + 1 makes m*T - B > P.  A base row that is already
+    distinct and above P is kept (y = 0).  Each entry is at most
+    (1 + [k odd])*P + k*(2B + m) in magnitude.
     """
     inst = TransportInstance(tuple(a), tuple(b), m, C)
-    n, k = len(a), len(b)
+    k = len(b)
 
     # Exact column targets congruent to b: keep b_j for j < k-1, dump the
     # correction into the last column (stays in its residue class mod m).
     b_prime = list(b[:-1]) + [sum(a) - sum(b[:-1])]
-    base = transport(a, b_prime)
-    rows = base.entries
-
-    result = AssignmentMatrix(inst, rows)
-
-    def snapshot() -> dict:
-        return {
-            "row_sums": [sum(r) for r in rows],
-            "col_residues": [sum(rows[i][j] for i in range(n)) % m for j in range(k)],
-        }
-
-    prev_max = C
-    for i in range(n):
-        before = snapshot() if trace else None
-        moves = _fix_row_duplicates(rows[i], m)
-        j0, N = _raise_row_magnitude(rows[i], m, prev_max)
-        prev_max = max(abs(x) for x in rows[i])
+    result = AssignmentMatrix(inst, [])
+    P = C
+    for i, base in enumerate(transport(a, b_prime).entries):
+        if _all_distinct(base) and min(map(abs, base)) > P:
+            row = base
+            event: dict = {"row": i, "kept": True}
+        else:
+            B = max(map(abs, base))
+            s = 2 * B // m + 1
+            T = (P + B) // m + 1
+            y = _offsets(k, T, s)
+            row = [x + m * o for x, o in zip(base, y)]
+            event = {"row": i, "T": T, "stride": s, "offsets": y}
+        result.entries.append(row)
         if trace:
-            result.trace.append(
-                {
-                    "row": i,
-                    "duplicate_moves": moves,
-                    "pivot": j0,
-                    "magnitude_N": N,
-                    "before": before,
-                    "after": snapshot(),
-                }
-            )
+            result.trace.append(event)
+        P = max(map(abs, row))
     return result
 
 

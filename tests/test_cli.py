@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from cryslift.cli import main
+from cryslift.transport import AssignmentMatrix, TransportInstance, verify_assignment
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +47,33 @@ def test_regular(capsys):
     )
     assert code == 0
     assert doc["matrix"] == [["6", "-6"]]
+
+
+def test_regular_trace(capsys):
+    code, doc = run_cli(
+        capsys, "regular", "--a", "0,100", "--b", "60,40", "--m", "1", "--trace"
+    )
+    assert code == 0
+    assert doc["matrix"] == [["1", "-1"], ["60", "40"]]
+    assert doc["trace"] == [
+        {"row": 0, "T": 1, "stride": 1, "offsets": [1, -1]},
+        {"row": 1, "kept": True},
+    ]
+
+
+def test_regular_5000_rows(capsys):
+    """Weights stay small enough to print: a row-by-row growth factor
+    would pass the 4300-digit str(int) limit long before 5000 rows."""
+    a, b = [1] * 5000, [0] * 11 + [2]
+    code, doc = run_cli(
+        capsys, "regular", "--a", ",".join(map(str, a)),
+        "--b", ",".join(map(str, b)), "--m", "3", "--C", "5",
+    )
+    assert code == 0, doc
+    entries = [[int(v) for v in row] for row in doc["matrix"]]
+    sol = AssignmentMatrix(TransportInstance(tuple(a), tuple(b), 3, 5), entries)
+    ok, violations = verify_assignment(sol)
+    assert ok, violations[:5]
 
 
 def test_lift_self_check(capsys):

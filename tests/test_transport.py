@@ -1,14 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cryslift.errors import InfeasibleError
 from cryslift.transport import (
     AssignmentMatrix,
     TransportInstance,
-    _fix_row_duplicates,
-    _raise_row_magnitude,
     regular_transport,
     transport,
     verify_assignment,
@@ -77,13 +75,6 @@ class TestRegularTransport:
         for i in range(len(rows) - 1):
             assert max(abs(v) for v in rows[i]) < min(abs(v) for v in rows[i + 1])
 
-    def test_trace_preserves_sums(self):
-        sol = regular_transport([4, -6], [1, 1, 4], 4, 7, trace=True)
-        assert sol.trace
-        for event in sol.trace:
-            assert event["before"]["row_sums"] == event["after"]["row_sums"]
-            assert event["before"]["col_residues"] == event["after"]["col_residues"]
-
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.integers(-50, 50), min_size=1, max_size=6),
@@ -93,90 +84,99 @@ class TestRegularTransport:
     )
     def test_checker_accepts_solver_property(self, a, b, m, C):
         b = b[:-1] + [b[-1] + (sum(a) - sum(b)) % m]  # force congruence
-        sol = regular_transport(a, b, m, C, trace=True)
+        sol = regular_transport(a, b, m, C)
         ok, violations = verify_assignment(sol)
         assert ok, violations
-        for event in sol.trace:
-            assert event["before"]["row_sums"] == event["after"]["row_sums"]
-            assert event["before"]["col_residues"] == event["after"]["col_residues"]
 
 
-def _fix_row_duplicates_reference(row, m):
-    """The quadratic rescan: after every move, search the lowest-index
-    duplicate pair afresh and rebuild the set of the other entries."""
-    moves = []
-    while len(set(row)) != len(row):
-        j, k = next(
-            (j, k)
-            for j in range(len(row))
-            for k in range(j + 1, len(row))
-            if row[j] == row[k]
-        )
-        others = set(row[:j] + row[j + 1 : k] + row[k + 1 :])
-        N = 1
-        while (
-            row[j] + m * N in others
-            or row[k] - m * N in others
-            or row[j] + m * N == row[k] - m * N
-        ):
-            N += 1
-        row[j] += m * N
-        row[k] -= m * N
-        moves.append((j, k, N))
-    return moves
+_ints = st.one_of(st.integers(-10, 10), st.integers(-10**6, 10**6))
 
 
-def _raise_row_magnitude_reference(row, m, threshold):
-    """The entry-by-entry scan for the smallest admissible N."""
-    k = len(row)
-    j0 = row.index(max(row))
-    N = 0
-    while True:
-        need = N
-        if abs(row[j0] + m * (k - 1) * N) <= threshold:
-            need = max(need, N + 1, -(-(threshold + 1 - row[j0]) // (m * (k - 1))))
-        for j in range(k):
-            if j != j0 and abs(row[j] - m * N) <= threshold:
-                need = max(need, N + 1, -(-(row[j] + threshold + 1) // m))
-        if need == N:
-            row[:] = [
-                row[j] + m * (k - 1) * N if j == j0 else row[j] - m * N
-                for j in range(k)
-            ]
-            return j0, N
-        N = need
+@st.composite
+def regular_instances(draw):
+    """(a, b, m, C) with up to 13 columns, |a_i|, |b_j|, C up to 10^6 and
+    b's last entry moved into the class that makes the instance feasible."""
+    k = draw(st.integers(2, 13))
+    a = draw(st.lists(_ints, min_size=1, max_size=6))
+    b = draw(st.lists(_ints, min_size=k, max_size=k))
+    m = draw(st.one_of(st.integers(1, 12), st.integers(1, 1000)))
+    C = draw(st.one_of(st.integers(0, 20), st.integers(0, 10**6)))
+    b[-1] += (sum(a) - sum(b)) % m
+    return a, b, m, C
 
 
-class TestRowMovesMatchReference:
-    """The incremental row fixes make exactly the moves of the plain
-    rescans they replace."""
+def _base(a, b):
+    """The exact transport solution that regular_transport offsets."""
+    return transport(a, b[:-1] + [sum(a) - sum(b[:-1])]).entries
 
-    @settings(max_examples=500, deadline=None)
-    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=12), st.integers(1, 6))
-    def test_fix_row_duplicates(self, row, m):
-        expected = list(row)
-        expected_moves = _fix_row_duplicates_reference(expected, m)
-        assert _fix_row_duplicates(row, m) == expected_moves
-        assert row == expected
-        assert len(set(row)) == len(row)
 
-    def test_fix_row_duplicates_all_equal(self):
-        row = [0] * 12
-        expected = list(row)
-        assert _fix_row_duplicates(row, 1) == _fix_row_duplicates_reference(expected, 1)
-        assert row == expected
+class TestRegularConstruction:
+    """Each invariant of the base + m*offsets rows, on its own."""
 
-    @settings(max_examples=500, deadline=None)
-    @given(
-        st.lists(st.integers(-60, 60), min_size=2, max_size=12, unique=True),
-        st.integers(1, 6),
-        st.integers(0, 100),
-    )
-    def test_raise_row_magnitude(self, row, m, threshold):
-        expected = list(row)
-        assert _raise_row_magnitude(row, m, threshold) == _raise_row_magnitude_reference(
-            expected, m, threshold)
-        assert row == expected
+    @settings(max_examples=200, deadline=None)
+    @given(regular_instances())
+    def test_row_sums_exact(self, inst):
+        a, b, m, C = inst
+        assert [sum(row) for row in regular_transport(a, b, m, C).entries] == a
+
+    @settings(max_examples=200, deadline=None)
+    @given(regular_instances())
+    def test_column_sums_congruent(self, inst):
+        a, b, m, C = inst
+        cols = zip(*regular_transport(a, b, m, C).entries)
+        assert all((sum(col) - bj) % m == 0 for col, bj in zip(cols, b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(regular_instances())
+    def test_globally_distinct(self, inst):
+        a, b, m, C = inst
+        flat = [x for row in regular_transport(a, b, m, C).entries for x in row]
+        assert len(set(flat)) == len(flat) == len(a) * len(b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(regular_instances())
+    def test_above_C(self, inst):
+        a, b, m, C = inst
+        assert all(abs(x) > C for row in regular_transport(a, b, m, C).entries for x in row)
+
+    @settings(max_examples=200, deadline=None)
+    @given(regular_instances())
+    def test_rows_dominate_previous(self, inst):
+        a, b, m, C = inst
+        rows = regular_transport(a, b, m, C).entries
+        for lo, hi in zip(rows, rows[1:]):
+            assert max(map(abs, lo)) < min(map(abs, hi))
+
+    @settings(max_examples=200, deadline=None)
+    @given(regular_instances())
+    def test_magnitude_bound(self, inst):
+        """max|row i| <= (1 + [k odd])*P + k*(2B + m), P the previous
+        row's max |entry| (C for row 0), B the base row's max |entry|."""
+        a, b, m, C = inst
+        k, P = len(b), C
+        for row, base in zip(regular_transport(a, b, m, C).entries, _base(a, b)):
+            B = max(map(abs, base))
+            assert max(map(abs, row)) <= (1 + k % 2) * P + k * (2 * B + m)
+            P = max(map(abs, row))
+
+    @settings(max_examples=200, deadline=None)
+    @example(([4, -6], [1, 1, 4], 4, 7))
+    @example(([0, 100], [60, 40], 1, 0))
+    @given(regular_instances())
+    def test_trace_offsets_rebuild_entries(self, inst):
+        """entries == base + m*offsets, with every offset vector summing
+        to 0; a kept row has offsets 0."""
+        a, b, m, C = inst
+        sol = regular_transport(a, b, m, C, trace=True)
+        assert [event["row"] for event in sol.trace] == list(range(len(a)))
+        for event, row, base in zip(sol.trace, sol.entries, _base(a, b)):
+            y = [0] * len(b) if event.get("kept") else event["offsets"]
+            assert sum(y) == 0
+            assert row == [x + m * o for x, o in zip(base, y)]
+
+    def test_odd_k_offsets(self):
+        sol = regular_transport([0], [0] * 5, 1, 0, trace=True)
+        assert sol.trace[0]["offsets"] == [1, -1, 2, 3, -5]
 
 
 class TestVerifyAssignment:
