@@ -27,6 +27,10 @@ EXIT_BAD_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
 
+# Largest M = q^d - 1 for `cryslift induction`: the oracle walks C_M per b
+# with int64 arrays of M entries, about 160 MB and 1-2 s per b at the limit.
+INDUCTION_M_MAX = 2 ** 22
+
 
 def _emit(obj: dict) -> None:
     sys.stdout.write(certio.dumps(obj))
@@ -117,6 +121,9 @@ def cmd_lift(args: argparse.Namespace) -> int:
 
 def cmd_induction(args: argparse.Namespace) -> int:
     model = FrobeniusModel(args.q, args.d)
+    # q >= 2, so a d at or past the limit's bit length puts M above it
+    if model.d >= INDUCTION_M_MAX.bit_length() or model.M > INDUCTION_M_MAX:
+        raise ValueError(f"M = q^d - 1 must be at most {INDUCTION_M_MAX}")
     if args.b is not None:
         reports = [verify_det_induction(model, args.b)]
     else:

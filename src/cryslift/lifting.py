@@ -165,16 +165,19 @@ class LiftCertificate:
     hypotheses: dict = field(default_factory=dict)
 
 
-def _digits_and_compat(theta_bar: MultChar, psi: DetSpec, layout: EmbeddingLayout,
-                       shape: LocalFieldShape) -> tuple[tuple[int, ...], bool]:
-    """theta_bar's digits over Sigma_E0 and the compatibility congruence."""
+def _digits(theta_bar: MultChar, shape: LocalFieldShape) -> tuple[int, ...]:
+    """theta_bar's digits over Sigma_E0."""
     if (theta_bar.field.p, theta_bar.field.f) != (shape.p, shape.f * shape.d):
         raise ValueError("theta_bar lives over the wrong residue field")
+    return digits(theta_bar).digits
+
+
+def _compat(b: tuple[int, ...], psi: DetSpec, layout: EmbeddingLayout, p: int) -> bool:
+    """The compatibility congruence of psi against theta_bar's digits b."""
     psi.validate(layout)
-    b = digits(theta_bar).digits
     # p = 2 makes the modulus 1 and the condition vacuous
-    return b, all(
-        (sum(psi.a[layout.F_block(i0)]) - sum(b[layout.J_block(i0)])) % (shape.p - 1) == 0
+    return all(
+        (sum(psi.a[layout.F_block(i0)]) - sum(b[layout.J_block(i0)])) % (p - 1) == 0
         for i0 in range(layout.f)
     )
 
@@ -193,7 +196,7 @@ def compat_check(theta_bar: MultChar, psi: DetSpec, layout: EmbeddingLayout,
     one that is exactly equivalent to per-block feasibility of the weight
     construction; the two forms agree whenever f = 1 or d = 1.
     """
-    return _digits_and_compat(theta_bar, psi, layout, shape)[1]
+    return _compat(_digits(theta_bar, shape), psi, layout, shape.p)
 
 
 def _build_weights(b: tuple[int, ...], a: tuple[int, ...], layout: EmbeddingLayout,
@@ -221,13 +224,7 @@ def lift_theta(theta_bar: MultChar, psi: DetSpec, shape: LocalFieldShape) -> Wei
     d = 1 degenerates to k = a (forced by the exact-sum condition); the
     distinctness and digit conditions are then not guaranteed.
     """
-    layout = build_layout(shape)
-    b, compat = _digits_and_compat(theta_bar, psi, layout, shape)
-    if not compat:
-        raise InfeasibleError(
-            "theta_bar and psi are incompatible mod p-1: no lift exists"
-        )
-    return WeightAssignment(_build_weights(b, psi.a, layout, shape.p))
+    return irr_crys_lift(theta_bar, psi, shape).weights
 
 
 def induce_weights(
@@ -259,7 +256,13 @@ def irr_crys_lift(theta_bar: MultChar, psi: DetSpec, shape: LocalFieldShape) -> 
     determinant's value, per determinant-of-induction.
     """
     layout = build_layout(shape)
-    b, compat = _digits_and_compat(theta_bar, psi, layout, shape)
+    return _lift(theta_bar, _digits(theta_bar, shape), psi, shape, layout)
+
+
+def _lift(theta_bar: MultChar, b: tuple[int, ...], psi: DetSpec, shape: LocalFieldShape,
+          layout: EmbeddingLayout) -> LiftCertificate:
+    """irr_crys_lift from theta_bar's digits b and the layout of shape."""
+    compat = _compat(b, psi, layout, shape.p)
     if not compat:
         raise InfeasibleError("incompatible (theta_bar, psi): no certificate")
     k = WeightAssignment(_build_weights(b, psi.a, layout, shape.p))
@@ -277,9 +280,10 @@ def irr_crys_lift(theta_bar: MultChar, psi: DetSpec, shape: LocalFieldShape) -> 
         )
         distinct = len(set(k.k)) == layout.size_E
         separation = _block_separation_holds(k.k, layout)
+        _, regular = induce_weights(k, layout)
     else:
         col_congruent = distinct = separation = None
-    _, regular = induce_weights(k, layout)
+        regular = True
     # (-1)^(d-1) * theta(varpi_E) == psi(varpi_F), symbolically
     unif_sign = theta_unif if d % 2 == 1 else theta_unif.negate()
     det_at_uniformizer = unif_sign == psi.uniformizer
@@ -291,7 +295,7 @@ def irr_crys_lift(theta_bar: MultChar, psi: DetSpec, shape: LocalFieldShape) -> 
         "det_at_uniformizer": det_at_uniformizer,
         "weights_distinct": distinct,
         "block_separation": separation,
-        "regular": regular if d > 1 else True,
+        "regular": regular,
     }
     hypotheses = {
         "residual_uniformizer_value": (

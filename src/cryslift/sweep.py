@@ -17,9 +17,7 @@ from dataclasses import asdict, dataclass
 from .certio import REPORT_SCHEMA_ID, certificate_to_json
 from .errors import InfeasibleError
 from .fields import MultChar, digits, is_prime
-from .lifting import (
-    DetSpec, EmbeddingLayout, LocalFieldShape, build_layout, irr_crys_lift,
-)
+from .lifting import DetSpec, EmbeddingLayout, LocalFieldShape, _lift, build_layout
 from .units import UnitExpr
 from .verify import verify_certificate
 
@@ -113,11 +111,13 @@ def run_cell(cell: Cell, config: SweepConfig) -> list[dict]:
     rows = []
     for b in bs:
         theta_bar = MultChar(field_E, b)
-        a = _force_compat(rng, layout, digits(theta_bar).digits, cell.p, config.a_bound)
+        b_digits = digits(theta_bar).digits
+        a = _force_compat(rng, layout, b_digits, cell.p, config.a_bound)
         psi = DetSpec(a, psi_unif)
         row_id = f"{cell.key},b={b}"
         try:
-            cert = irr_crys_lift(theta_bar, psi, shape)
+            # one digit expansion per instance: the lift reuses b_digits
+            cert = _lift(theta_bar, b_digits, psi, shape, layout)
         except InfeasibleError as exc:
             rows.append(
                 {"id": row_id, "pass": False, "violations": [f"infeasible: {exc}"]}

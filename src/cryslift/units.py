@@ -51,7 +51,11 @@ class UnitExpr:
         return UnitExpr(sign, tuple((l, f * e) for l, f in self.factors))
 
     def negate(self) -> "UnitExpr":
-        return UnitExpr(-self.sign, self.factors)
+        # the factors are already normal: share them, skip __post_init__
+        neg = object.__new__(UnitExpr)
+        object.__setattr__(neg, "sign", -self.sign)
+        object.__setattr__(neg, "factors", self.factors)
+        return neg
 
     def root(self, d: int) -> "UnitExpr":
         """Formal d-th root; only principal (sign +1) units have one."""

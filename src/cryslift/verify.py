@@ -5,6 +5,12 @@ the raw certificate fields using its own arithmetic (base-p expansion,
 congruences, unit-expression algebra) and never calls the solvers that
 produced the certificate.  A certificate passes iff every identity holds
 and every recorded check value matches the recomputation.
+
+It derives the fibres from the wire format's canonical order on its own,
+as slices: the i0-block of psi.a is a[i0*e:(i0+1)*e], the J-block of
+theta_bar's digits is b_digits[i0::f], the Sigma_F fibre of s is
+k[s*d:(s+1)*d] and the Sigma_E0 fibre of i0 + f*l is the stride-d slice
+k[i0*e*d + l:(i0+1)*e*d:d].
 """
 
 from __future__ import annotations
@@ -58,10 +64,14 @@ def _base_p_digits(b: int, p: int, length: int) -> list[int]:
     return out
 
 
-def _unit_normal(obj: dict) -> tuple[int, tuple[tuple[str, Fraction], ...]]:
-    acc: dict[str, Fraction] = {}
+def _unit_normal(obj: dict) -> tuple[int, tuple[tuple[str, int | Fraction], ...]]:
+    """Sign and merged, sorted, non-zero exponents of a unit.  Denominator-1
+    exponents stay plain ints, which compare with Fractions by value."""
+    acc: dict[str, int | Fraction] = {}
     for label, num, den in obj["factors"]:
-        acc[label] = acc.get(label, Fraction(0)) + Fraction(int(num), int(den))
+        den = int(den)
+        e = int(num) if den == 1 else Fraction(int(num), den)
+        acc[label] = acc.get(label, 0) + e
     return int(obj["sign"]), tuple(
         (label, e) for label, e in sorted(acc.items()) if e != 0
     )
@@ -113,51 +123,28 @@ def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
     # the one equivalent to per-block feasibility; restricted digits are
     # not blockwise congruent to it when carrying crosses blocks)
     eq_one = all(
-        (
-            sum(a[i0 * e + r] for r in range(e))
-            - sum(b_digits[j] for j in range(i0, f * d, f))
-        ) % m == 0
+        (sum(a[i0 * e:(i0 + 1) * e]) - sum(b_digits[i0::f])) % m == 0
         for i0 in range(f)
     )
 
-    # exact row sums: weights over each Sigma_F fibre sum to a_sigma.
-    # Sigma_E canonical order: index = i0*e*d + r*d + l
-    def fibre_F(i0: int, r: int) -> list[int]:
-        base = i0 * e * d + r * d
-        return k[base : base + d]
-
-    det_on_units = all(
-        sum(fibre_F(i0, r)) == a[i0 * e + r] for i0 in range(f) for r in range(e)
-    )
+    # exact row sums: weights over each Sigma_F fibre sum to a_sigma
+    det_on_units = all(sum(k[s * d:(s + 1) * d]) == a[s] for s in range(e * f))
 
     if d > 1:
         # column congruences: weights over each Sigma_E0 fibre match the
-        # theta_bar digit mod p-1; tau_0 = i0 + f*l
+        # theta_bar digit mod p-1
+        w = e * d
         lifts_theta_bar = all(
-            (
-                sum(k[i0 * e * d + r * d + l] for r in range(e))
-                - b_digits[i0 + f * l]
-            )
-            % m
-            == 0
+            (sum(k[i0 * w + l:(i0 + 1) * w:d]) - b_digits[i0 + f * l]) % m == 0
             for i0 in range(f)
             for l in range(d)
         )
         weights_distinct = len(set(k)) == len(k)
-        block_separation = True
-        prev_max = None
-        for i0 in range(f):
-            block = [abs(v) for v in k[i0 * e * d : (i0 + 1) * e * d]]
-            if prev_max is not None and min(block) <= prev_max:
-                block_separation = False
-            prev_max = max(block)
-        regular = all(
-            len(set(fibre_F(i0, r))) == d for i0 in range(f) for r in range(e)
-        )
+        blocks = [[abs(v) for v in k[i0 * w:(i0 + 1) * w]] for i0 in range(f)]
+        block_separation = all(max(lo) < min(hi) for lo, hi in zip(blocks, blocks[1:]))
+        regular = all(len(set(k[s * d:(s + 1) * d])) == d for s in range(e * f))
     else:
-        lifts_theta_bar = None
-        weights_distinct = None
-        block_separation = None
+        lifts_theta_bar = weights_distinct = block_separation = None
         regular = True
 
     # eq_three / (five): theta(varpi_E) == (-1)^(d-1) psi(varpi_F) as
@@ -165,9 +152,7 @@ def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
     psi_sign, psi_factors = _unit_normal(obj["psi"]["uniformizer"])
     th_sign, th_factors = _unit_normal(obj["theta_uniformizer"])
     twist_sign = 1 if (d - 1) % 2 == 0 else -1
-    det_at_uniformizer = (
-        th_factors == psi_factors and th_sign == twist_sign * psi_sign
-    )
+    det_at_uniformizer = th_factors == psi_factors and th_sign == twist_sign * psi_sign
 
     recomputed = {
         "eq_one_compat": eq_one,

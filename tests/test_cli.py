@@ -163,6 +163,23 @@ def test_induction(capsys):
     assert doc["counterexamples"] == []
 
 
+@pytest.mark.parametrize("q, d", [(2, 40), (2, 23), (2049, 2), (3, 10 ** 9)])
+def test_induction_above_m_limit_exit_2(capsys, q, d):
+    started = time.perf_counter()
+    code, doc = run_cli(capsys, "induction", "--q", str(q), "--d", str(d), "--b", "1")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert doc["kind"] == "bad-input"
+    assert "at most 4194304" in doc["error"]
+
+
+def test_induction_largest_acceptance_m(capsys):
+    # M = 9^6 - 1 = 531440, the largest M of the acceptance grid
+    code, doc = run_cli(capsys, "induction", "--q", "9", "--d", "6", "--b", "1")
+    assert code == 0
+    assert doc["M"] == 531440 and doc["pass"]
+
+
 def test_twist(capsys):
     code, doc = run_cli(
         capsys, "twist", "--p", "3", "--f", "1", "--e", "1", "--d", "2",

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -31,6 +32,15 @@ class TestUnitExpr:
         assert (u * u).sign == 1
         assert (u ** 3).sign == -1
         assert (u ** 2).sign == 1
+
+    def test_negate_shares_normal_factors(self):
+        u = UnitExpr(1, (("b", Fraction(2, 3)), ("a", Fraction(1)), ("b", Fraction(1, 3))))
+        neg = u.negate()
+        assert neg == UnitExpr(-1, (("a", Fraction(1)), ("b", Fraction(1))))
+        assert neg.factors is u.factors
+        assert neg.negate() == u and hash(neg.negate()) == hash(u)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            neg.sign = 1
 
     def test_fractional_power_of_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,106 @@
+"""Byte-identity pins for certificates and sweep reports, and the sweep's
+one digit expansion per instance.
+
+The pinned digests were recorded before the sweep's per-certificate work
+was cut down; any drift in weights, units, recorded checks or the order
+of the sweep's random draws changes them.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from cryslift import lifting, sweep
+from cryslift.certio import certificate_to_json, dumps
+from cryslift.fields import FiniteFieldSpec, MultChar, digits
+from cryslift.lifting import DetSpec, LocalFieldShape, irr_crys_lift
+from cryslift.sweep import Cell, SweepConfig, run_cell, run_sweep
+from cryslift.units import UnitExpr
+
+# (p, f, e, d): d = 1, odd d, even d, and f > 1 for each
+PIN_SHAPES = [(2, 1, 1, 1), (3, 2, 2, 1), (5, 1, 3, 1), (2, 1, 2, 3), (3, 2, 1, 3),
+              (7, 1, 2, 3), (3, 1, 1, 2), (2, 2, 2, 2), (5, 2, 1, 2), (3, 1, 2, 4),
+              (2, 3, 1, 2), (2, 1, 1, 5)]
+CERT_DIGEST = "0a774c30cc6409635c47c934a8af848ecd040d89421290cbf9ad0f25ff5972f4"
+SWEEP_CONFIG = dict(p_values=(2, 3, 5), f_max=2, e_max=2, d_max=3, t_with_p=True,
+                    thetas_per_cell=6, seed=5, max_field_bits=8, record="all")
+SWEEP_DIGEST = "46da6b9150b754b058cd6280c7e82fe455d2360bf098c8dbdb2131a20c922946"
+U = UnitExpr.symbol("psi(varpi_F)")
+
+
+def _pinned_certificates():
+    rng = random.Random(20)
+    for p, f, e, d in PIN_SHAPES:
+        shape = LocalFieldShape(p, f, e, d, p ** f - 1)
+        for b in sorted(rng.sample(range(p ** (f * d) - 1), min(4, p ** (f * d) - 1))):
+            theta_bar = MultChar(FiniteFieldSpec(p, f * d), b)
+            bd = digits(theta_bar).digits
+            a = []
+            for i0 in range(f):
+                block = [rng.randint(-10, 10) for _ in range(e)]
+                block[0] += (sum(bd[i0::f]) - sum(block)) % (p - 1)
+                a.extend(block)
+            psi = DetSpec(tuple(a), U)
+            yield irr_crys_lift(theta_bar, psi, shape)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_certificate_bytes_pinned():
+    certs = list(_pinned_certificates())
+    assert {c.shape.d for c in certs} >= {1, 2, 3, 4, 5}
+    assert _sha256("".join(dumps(certificate_to_json(c)) for c in certs)) == CERT_DIGEST
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_report_bytes_pinned(jobs):
+    report = run_sweep(SweepConfig(jobs=jobs, **SWEEP_CONFIG))
+    assert report["totals"]["failed"] == 0
+    assert _sha256(dumps(report)) == SWEEP_DIGEST
+
+
+@pytest.fixture
+def digit_calls(monkeypatch):
+    calls = []
+
+    def counted(c):
+        calls.append(c.b)
+        return digits(c)
+
+    monkeypatch.setattr(sweep, "digits", counted)
+    monkeypatch.setattr(lifting, "digits", counted)
+    return calls
+
+
+@pytest.mark.parametrize("cell", [Cell(3, 1, 2, 1, 2), Cell(3, 2, 1, 2, 8),
+                                  Cell(2, 1, 2, 3, 1)])
+def test_run_cell_expands_digits_once_per_instance(digit_calls, cell):
+    rows = run_cell(cell, SweepConfig(thetas_per_cell=None))
+    assert len(rows) == cell.p ** (cell.f * cell.d) - 1
+    assert all(r["pass"] for r in rows)
+    assert digit_calls == list(range(len(rows)))
+
+
+def test_recorded_checks_by_degree(digit_calls):
+    """d = 1 still records regular: True; an even-d certificate records
+    every identity as holding."""
+    shape = LocalFieldShape(3, 1, 2, 1, 2)
+    cert = irr_crys_lift(MultChar(FiniteFieldSpec(3, 1), 1), DetSpec((1, 2), U), shape)
+    assert cert.checks == {
+        "eq_one_compat": True, "lifts_theta_bar": None, "det_on_units": True,
+        "det_at_uniformizer": True, "weights_distinct": None,
+        "block_separation": None, "regular": True,
+    }
+    shape = LocalFieldShape(3, 1, 2, 2, 2)
+    cert = irr_crys_lift(MultChar(FiniteFieldSpec(3, 2), 5), DetSpec((2, 1), U), shape)
+    assert cert.checks == dict.fromkeys(cert.checks, True)
+    assert list(cert.checks) == ["eq_one_compat", "lifts_theta_bar", "det_on_units",
+                                 "det_at_uniformizer", "weights_distinct",
+                                 "block_separation", "regular"]
+    assert cert.theta_uniformizer == UnitExpr(-1, (("psi(varpi_F)", 1),))
+    # the public lift expands the digits itself, once per certificate
+    assert digit_calls == [1, 5]
+

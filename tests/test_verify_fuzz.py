@@ -13,9 +13,10 @@ import copy
 import io
 import json
 import time
+from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cryslift.certio import (
     MAX_INT_STR_LEN,
@@ -27,7 +28,7 @@ from cryslift.cli import main
 from cryslift.fields import FiniteFieldSpec, MultChar, digits
 from cryslift.lifting import DetSpec, LocalFieldShape, irr_crys_lift
 from cryslift.units import UnitExpr
-from cryslift.verify import verify_certificate
+from cryslift.verify import _unit_normal, verify_certificate
 
 BUDGET_S = 1.0
 
@@ -175,3 +176,60 @@ def test_cli_verify_exit_codes_on_any_json(cert_path, doc):
     cert_path.write_text(json.dumps(doc))
     code, _ = _cli_verify(cert_path)
     assert code in (0, 2, 3)
+
+
+def _unit_normal_reference(obj):
+    """The verifier's unit normal form with every exponent a Fraction."""
+    acc = {}
+    for label, num, den in obj["factors"]:
+        acc[label] = acc.get(label, Fraction(0)) + Fraction(int(num), int(den))
+    return int(obj["sign"]), tuple((label, e) for label, e in sorted(acc.items()) if e != 0)
+
+
+NUMS = st.one_of(
+    st.integers(-5, 5),
+    st.integers(-(10 ** 300), 10 ** 300),
+    st.integers(10 ** 3999, 10 ** 4000 - 1),
+).map(str)
+UNIT_DENS = st.sampled_from(["1", "1\n"])
+ANY_DENS = st.one_of(UNIT_DENS, st.sampled_from(["2", "3", "6"]), DENS)
+
+
+def _unit(dens):
+    factor = st.tuples(st.sampled_from(["psi(varpi_F)", "eta(varpi_F)", "x"]), NUMS, dens)
+    return st.fixed_dictionaries({
+        "sign": st.sampled_from([1, -1]),
+        "factors": st.lists(factor.map(list), max_size=MAX_UNIT_FACTORS),
+    })
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=st.one_of(_unit(UNIT_DENS), _unit(ANY_DENS)))
+@example(obj={"sign": 1, "factors": [["x", "3", "2"], ["x", "1", "2"]]})
+@example(obj={"sign": 1, "factors": [["x", "2", "2"]]})
+@example(obj={"sign": -1, "factors": [["x", "1", "1\n"], ["y", "4", "1\n"]]})
+@example(obj={"sign": 1, "factors": [["x", "3", "1"], ["y", "1", "2"], ["x", "-3", "1"],
+                                     ["y", "-1", "2"]]})
+@example(obj={"sign": 1, "factors": [["x", "9" * 4000, "1"], ["x", "-" + "9" * 4000, "1"]]})
+@example(obj={"sign": -1, "factors": []})
+def test_unit_normal_matches_fraction_reference(obj):
+    got = _unit_normal(obj)
+    assert got == _unit_normal_reference(obj)
+    if all(int(den) == 1 for _, _, den in obj["factors"]):
+        # integer exponents never reach Fraction
+        assert all(type(e) is int for _, e in got[1])
+
+
+@pytest.mark.parametrize("cert", [CERTS[3], CERTS[0]], ids=["d=1", "d=2"])
+@pytest.mark.parametrize("psi_exp, theta_exp", [(("1", "1"), ("1", "2")),
+                                                (("1", "2"), ("1", "1")),
+                                                (("1", "1"), ("2", "1"))])
+def test_det_at_uniformizer_fails_on_exponent_mismatch(cert, psi_exp, theta_exp):
+    doc = copy.deepcopy(cert)
+    assert verify_certificate(doc)[0]
+    doc["psi"]["uniformizer"]["factors"] = [["psi(varpi_F)", *psi_exp]]
+    doc["theta_uniformizer"]["factors"] = [["psi(varpi_F)", *theta_exp]]
+    validate_certificate_schema(doc)
+    ok, violations = verify_certificate(doc)
+    assert not ok
+    assert "identity det_at_uniformizer fails on recomputation" in violations
