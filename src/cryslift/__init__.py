@@ -27,7 +27,6 @@ from .induction import FrobeniusModel, MonomialRep, det_of, induce, verify_det_i
 from .ledger import (
     CrystCharSpec,
     WeightProfile,
-    dth_root_correction,
     shift_for_extension,
     twist,
     twist_shout,
@@ -37,12 +36,10 @@ from .lifting import (
     EmbeddingLayout,
     LiftCertificate,
     LocalFieldShape,
-    WeightAssignment,
     build_layout,
     compat_check,
     induce_weights,
     irr_crys_lift,
-    lift_theta,
 )
 from .transport import (
     AssignmentMatrix,

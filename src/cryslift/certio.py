@@ -13,7 +13,7 @@ import re
 
 from .errors import CertificateError
 from .fields import FiniteFieldSpec, MultChar
-from .lifting import DetSpec, LiftCertificate, LocalFieldShape, WeightAssignment
+from .lifting import DetSpec, LiftCertificate, LocalFieldShape
 from .units import UnitExpr
 
 CERTIFICATE_SCHEMA_ID = "lift-certificate/v1"
@@ -44,7 +44,7 @@ def certificate_to_json(cert: LiftCertificate) -> dict:
             "a": [str(v) for v in cert.psi.a],
             "uniformizer": cert.psi.uniformizer.to_json(),
         },
-        "weights": [str(v) for v in cert.weights.k],
+        "weights": [str(v) for v in cert.weights],
         "theta_uniformizer": cert.theta_uniformizer.to_json(),
         "checks": dict(cert.checks),
         "hypotheses": dict(cert.hypotheses),
@@ -68,7 +68,7 @@ def certificate_from_json(obj: dict) -> LiftCertificate:
         shape=shape,
         theta_bar=theta_bar,
         psi=psi,
-        weights=WeightAssignment(tuple(int(v) for v in obj["weights"])),
+        weights=tuple(int(v) for v in obj["weights"]),
         theta_uniformizer=UnitExpr.from_json(obj["theta_uniformizer"]),
         checks=dict(obj["checks"]),
         hypotheses=dict(obj.get("hypotheses", {})),

@@ -19,7 +19,7 @@ from .induction import FrobeniusModel, verify_det_induction
 from .ledger import WeightProfile, twist_shout
 from .lifting import DetSpec, LocalFieldShape, irr_crys_lift
 from .sweep import SweepConfig, run_sweep
-from .transport import regular_transport, transport, verify_assignment
+from .transport import AssignmentMatrix, regular_transport, transport, verify_assignment
 from .units import UnitExpr
 
 EXIT_OK = 0
@@ -82,8 +82,7 @@ def cmd_digits(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_transport(args: argparse.Namespace) -> int:
-    sol = transport(_int_list(args.a), _int_list(args.b))
+def _emit_matrix(sol: AssignmentMatrix) -> int:
     ok, violations = verify_assignment(sol)
     if not ok:
         raise AssertionError(f"solver output failed self-check: {violations}")
@@ -91,26 +90,23 @@ def cmd_transport(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def cmd_transport(args: argparse.Namespace) -> int:
+    return _emit_matrix(transport(_int_list(args.a), _int_list(args.b)))
+
+
 def cmd_regular(args: argparse.Namespace) -> int:
-    sol = regular_transport(
-        _int_list(args.a), _int_list(args.b), args.m, args.C, trace=args.trace
-    )
-    ok, violations = verify_assignment(sol)
-    if not ok:
-        raise AssertionError(f"solver output failed self-check: {violations}")
-    out = {"matrix": [[str(v) for v in row] for row in sol.entries]}
-    if args.trace:
-        out["trace"] = sol.trace
-    _emit(out)
-    return EXIT_OK
+    return _emit_matrix(regular_transport(_int_list(args.a), _int_list(args.b), args.m, args.C))
+
+
+def _shape(args: argparse.Namespace) -> LocalFieldShape:
+    return LocalFieldShape(args.p, args.f, args.e, args.d, args.t)
 
 
 def cmd_lift(args: argparse.Namespace) -> int:
-    shape = LocalFieldShape(args.p, args.f, args.e, args.d, args.t)
+    shape = _shape(args)
     theta_bar = MultChar(shape.residue_field_E, args.theta_bar)
-    psi = DetSpec(tuple(_int_list(args.a)), UnitExpr.symbol(args.psi_label))
-    cert = irr_crys_lift(theta_bar, psi, shape)
-    doc = certio.certificate_to_json(cert)
+    psi = DetSpec(tuple(_int_list(args.a)), UnitExpr.symbol("psi(varpi_F)"))
+    doc = certio.certificate_to_json(irr_crys_lift(theta_bar, psi, shape))
     ok, violations = verify.verify_certificate(doc)
     doc["self_check"] = "pass" if ok else "fail"
     if not ok:
@@ -148,8 +144,7 @@ def cmd_induction(args: argparse.Namespace) -> int:
 
 
 def cmd_twist(args: argparse.Namespace) -> int:
-    shape = LocalFieldShape(args.p, args.f, args.e, args.d, args.t)
-    theta = twist_shout(_profile(args.rho), _profile(args.rho_x), shape)
+    theta = twist_shout(_profile(args.rho), _profile(args.rho_x), _shape(args))
     _emit({
         "k": [str(v) for v in theta.k],
         "uniformizer": theta.uniformizer.to_json(),
@@ -227,19 +222,17 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--b", required=True)
     s.add_argument("--m", type=int, required=True)
     s.add_argument("--C", type=int, default=0)
-    s.add_argument("--trace", action="store_true")
     s.set_defaults(func=cmd_regular)
 
-    s = sub.add_parser("lift", help="build and self-verify a lift certificate")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--f", type=int, required=True)
-    s.add_argument("--e", type=int, required=True)
-    s.add_argument("--d", type=int, required=True)
-    s.add_argument("--t", type=int, required=True)
+    shape_args = argparse.ArgumentParser(add_help=False)
+    for name in ("p", "f", "e", "d", "t"):
+        shape_args.add_argument(f"--{name}", type=int, required=True)
+
+    s = sub.add_parser("lift", parents=[shape_args],
+                       help="build and self-verify a lift certificate")
     s.add_argument("--theta-bar", type=int, required=True,
                    help="exponent of the residual character over F_{p^(f*d)}")
     s.add_argument("--a", required=True, help="determinant exponents over Sigma_F")
-    s.add_argument("--psi-label", default="psi(varpi_F)")
     s.set_defaults(func=cmd_lift)
 
     s = sub.add_parser("induction", help="determinant-of-induction oracle")
@@ -251,12 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_induction)
 
-    s = sub.add_parser("twist", help="fixed-determinant twist of weight profiles")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--f", type=int, required=True)
-    s.add_argument("--e", type=int, required=True)
-    s.add_argument("--d", type=int, required=True)
-    s.add_argument("--t", type=int, required=True)
+    s = sub.add_parser("twist", parents=[shape_args],
+                       help="fixed-determinant twist of weight profiles")
     s.add_argument("--rho", required=True, help='JSON, e.g. "[[5,1]]"')
     s.add_argument("--rho-x", required=True, help='JSON, e.g. "[[1,-3]]"')
     s.set_defaults(func=cmd_twist)

@@ -125,11 +125,6 @@ def _slightly_less(p1: WeightProfile, p2: WeightProfile) -> bool:
     )
 
 
-def dth_root_correction(eta: UnitExpr, d: int) -> UnitExpr:
-    """Formal d-th root of a principal unit; (result)^d normalizes back."""
-    return eta.root(d)
-
-
 def twist_shout(
     rho_weights: WeightProfile,
     rho_x_weights: WeightProfile,
@@ -172,4 +167,4 @@ def twist_shout(
     assert all(
         dx + d * ks == dr for dx, ks, dr in zip(det_rho_x, k, det_rho)
     ), "determinant exponents do not balance"
-    return CrystCharSpec(k, dth_root_correction(UnitExpr.symbol("eta(varpi_F)"), d))
+    return CrystCharSpec(k, UnitExpr.symbol("eta(varpi_F)").root(d))

@@ -141,13 +141,6 @@ class DetSpec:
 
 
 @dataclass(frozen=True)
-class WeightAssignment:
-    """Weights k_tau indexed by Sigma_E in canonical order."""
-
-    k: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class LiftCertificate:
     """Machine-checkable record of a constructed lift.
 
@@ -159,7 +152,7 @@ class LiftCertificate:
     shape: LocalFieldShape
     theta_bar: MultChar
     psi: DetSpec
-    weights: WeightAssignment
+    weights: tuple[int, ...]  # k_tau, indexed by Sigma_E in canonical order
     theta_uniformizer: UnitExpr
     checks: dict = field(default_factory=dict)
     hypotheses: dict = field(default_factory=dict)
@@ -182,8 +175,7 @@ def _compat(b: tuple[int, ...], psi: DetSpec, layout: EmbeddingLayout, p: int) -
     )
 
 
-def compat_check(theta_bar: MultChar, psi: DetSpec, layout: EmbeddingLayout,
-                 shape: LocalFieldShape) -> bool:
+def compat_check(theta_bar: MultChar, psi: DetSpec, shape: LocalFieldShape) -> bool:
     """Residue compatibility of (theta_bar, psi) in exponent form.
 
     For each unramified block i0 the determinant exponents above i0 must
@@ -196,7 +188,7 @@ def compat_check(theta_bar: MultChar, psi: DetSpec, layout: EmbeddingLayout,
     one that is exactly equivalent to per-block feasibility of the weight
     construction; the two forms agree whenever f = 1 or d = 1.
     """
-    return _compat(_digits(theta_bar, shape), psi, layout, shape.p)
+    return _compat(_digits(theta_bar, shape), psi, build_layout(shape), shape.p)
 
 
 def _build_weights(b: tuple[int, ...], a: tuple[int, ...], layout: EmbeddingLayout,
@@ -217,18 +209,8 @@ def _build_weights(b: tuple[int, ...], a: tuple[int, ...], layout: EmbeddingLayo
     return tuple(k)
 
 
-def lift_theta(theta_bar: MultChar, psi: DetSpec, shape: LocalFieldShape) -> WeightAssignment:
-    """Construct pairwise distinct weights matching psi exactly on each
-    Sigma_F fibre and theta_bar's digits mod p-1 on each Sigma_E0 fibre.
-
-    d = 1 degenerates to k = a (forced by the exact-sum condition); the
-    distinctness and digit conditions are then not guaranteed.
-    """
-    return irr_crys_lift(theta_bar, psi, shape).weights
-
-
 def induce_weights(
-    k: WeightAssignment, layout: EmbeddingLayout
+    k: tuple[int, ...], layout: EmbeddingLayout
 ) -> tuple[list[tuple[int, ...]], bool]:
     """Per-Sigma_F weight multisets of the induced representation.
 
@@ -236,7 +218,7 @@ def induce_weights(
     regular weights iff every fibre has d distinct values.
     """
     fibres = [
-        tuple(sorted(k.k[layout.F_fibre(s)], reverse=True))
+        tuple(sorted(k[layout.F_fibre(s)], reverse=True))
         for s in range(layout.size_F)
     ]
     regular = all(len(set(fib)) == layout.d for fib in fibres)
@@ -249,8 +231,10 @@ def _block_separation_holds(k: tuple[int, ...], layout: EmbeddingLayout) -> bool
 
 
 def irr_crys_lift(theta_bar: MultChar, psi: DetSpec, shape: LocalFieldShape) -> LiftCertificate:
-    """Full lift certificate: weights, twisted uniformizer value, and the
-    record of every checked identity.
+    """Full lift certificate: pairwise distinct weights matching psi exactly
+    on each Sigma_F fibre and theta_bar's digits mod p-1 on each Sigma_E0
+    fibre (d = 1 forces k = a, and neither is then guaranteed), the twisted
+    uniformizer value, and the record of every checked identity.
 
     The uniformizer value of the lifted character is (-1)^(d-1) times the
     determinant's value, per determinant-of-induction.
@@ -265,21 +249,21 @@ def _lift(theta_bar: MultChar, b: tuple[int, ...], psi: DetSpec, shape: LocalFie
     compat = _compat(b, psi, layout, shape.p)
     if not compat:
         raise InfeasibleError("incompatible (theta_bar, psi): no certificate")
-    k = WeightAssignment(_build_weights(b, psi.a, layout, shape.p))
+    k = _build_weights(b, psi.a, layout, shape.p)
     d = shape.d
     theta_unif = psi.uniformizer if d % 2 == 1 else psi.uniformizer.negate()
 
     # recorded identities, each recomputed here from the raw data
     row_sums_exact = all(
-        sum(k.k[layout.F_fibre(s)]) == psi.a[s] for s in range(layout.size_F)
+        sum(k[layout.F_fibre(s)]) == psi.a[s] for s in range(layout.size_F)
     )
     if d > 1:
         col_congruent = all(
-            (sum(k.k[layout.E0_fibre(j)]) - b[j]) % (shape.p - 1) == 0
+            (sum(k[layout.E0_fibre(j)]) - b[j]) % (shape.p - 1) == 0
             for j in range(layout.size_E0)
         )
-        distinct = len(set(k.k)) == layout.size_E
-        separation = _block_separation_holds(k.k, layout)
+        distinct = len(set(k)) == layout.size_E
+        separation = _block_separation_holds(k, layout)
         _, regular = induce_weights(k, layout)
     else:
         col_congruent = distinct = separation = None

@@ -66,12 +66,15 @@ class Cell:
 def iter_cells(config: SweepConfig) -> list[Cell]:
     cells = []
     cap = 2 ** config.max_field_bits
+    # p^f and p^(f*d) only grow with f and d, so both loops stop at the cap
     for p in sorted(config.p_values):
         for f in range(1, config.f_max + 1):
+            q = p ** f
+            if q > cap:
+                break
             for d in range(1, config.d_max + 1):
-                if p ** (f * d) > cap:
-                    continue
-                q = p ** f
+                if q ** d > cap:
+                    break
                 ts = [q - 1] + ([p * (q - 1)] if config.t_with_p else [])
                 for e in range(1, config.e_max + 1):
                     for t in ts:
@@ -131,8 +134,10 @@ def run_cell(cell: Cell, config: SweepConfig) -> list[dict]:
 def run_sweep(config: SweepConfig) -> dict:
     """Run the whole grid and assemble a deterministic report."""
     cells = iter_cells(config)
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    # the pool forks all its workers at once, so fork no more than there are cells
+    jobs = min(config.jobs, len(cells))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_cell = list(pool.map(run_cell, cells, [config] * len(cells)))
     else:
         per_cell = [run_cell(c, config) for c in cells]

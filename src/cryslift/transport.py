@@ -23,7 +23,7 @@ Both are deterministic closed forms, with no search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InfeasibleError
 
@@ -76,7 +76,6 @@ class AssignmentMatrix:
 
     instance: TransportInstance
     entries: list[list[int]]
-    trace: list[dict] = field(default_factory=list)
 
 
 def transport(a: list[int], b: list[int]) -> AssignmentMatrix:
@@ -113,13 +112,7 @@ def _offsets(k: int, T: int, s: int) -> list[int]:
     return y
 
 
-def regular_transport(
-    a: list[int],
-    b: list[int],
-    m: int,
-    C: int,
-    trace: bool = False,
-) -> AssignmentMatrix:
+def regular_transport(a: list[int], b: list[int], m: int, C: int) -> AssignmentMatrix:
     """Distinct-entry transportation: exact row sums, column sums mod m.
 
     Entries are pairwise distinct across the whole matrix and satisfy
@@ -138,24 +131,19 @@ def regular_transport(
     # Exact column targets congruent to b: keep b_j for j < k-1, dump the
     # correction into the last column (stays in its residue class mod m).
     b_prime = list(b[:-1]) + [sum(a) - sum(b[:-1])]
-    result = AssignmentMatrix(inst, [])
+    rows: list[list[int]] = []
     P = C
-    for i, base in enumerate(transport(a, b_prime).entries):
+    for base in transport(a, b_prime).entries:
         if _all_distinct(base) and min(map(abs, base)) > P:
             row = base
-            event: dict = {"row": i, "kept": True}
         else:
             B = max(map(abs, base))
             s = 2 * B // m + 1
             T = (P + B) // m + 1
-            y = _offsets(k, T, s)
-            row = [x + m * o for x, o in zip(base, y)]
-            event = {"row": i, "T": T, "stride": s, "offsets": y}
-        result.entries.append(row)
-        if trace:
-            result.trace.append(event)
+            row = [x + m * o for x, o in zip(base, _offsets(k, T, s))]
+        rows.append(row)
         P = max(map(abs, row))
-    return result
+    return AssignmentMatrix(inst, rows)
 
 
 def verify_assignment(M: AssignmentMatrix) -> tuple[bool, list[str]]:

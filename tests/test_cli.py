@@ -49,16 +49,12 @@ def test_regular(capsys):
     assert doc["matrix"] == [["6", "-6"]]
 
 
-def test_regular_trace(capsys):
-    code, doc = run_cli(
-        capsys, "regular", "--a", "0,100", "--b", "60,40", "--m", "1", "--trace"
-    )
+def test_regular_offsets_then_kept_row(capsys):
+    """Row 0 gets offsets +-1; row 1's base is distinct and above row 0, so
+    it is kept as is."""
+    code, doc = run_cli(capsys, "regular", "--a", "0,100", "--b", "60,40", "--m", "1")
     assert code == 0
-    assert doc["matrix"] == [["1", "-1"], ["60", "40"]]
-    assert doc["trace"] == [
-        {"row": 0, "T": 1, "stride": 1, "offsets": [1, -1]},
-        {"row": 1, "kept": True},
-    ]
+    assert doc == {"matrix": [["1", "-1"], ["60", "40"]]}
 
 
 def test_regular_5000_rows(capsys):

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from cryslift.errors import InfeasibleError
 from cryslift.ledger import (
     WeightProfile,
-    dth_root_correction,
     shift_for_extension,
     twist,
     twist_shout,
@@ -172,15 +171,15 @@ class TestShiftForExtension:
 class TestDthRoot:
     def test_exact_root(self):
         u = UnitExpr(1, (("x", Fraction(2)),))
-        assert dth_root_correction(u, 2) == UnitExpr.symbol("x")
+        assert u.root(2) == UnitExpr.symbol("x")
 
     def test_formal_root_round_trip(self):
         u = UnitExpr.symbol("x")
-        assert dth_root_correction(u, 3) ** 3 == u
+        assert u.root(3) ** 3 == u
 
     def test_negative_unit_rejected(self):
         with pytest.raises(ValueError):
-            dth_root_correction(UnitExpr.symbol("x").negate(), 2)
+            UnitExpr.symbol("x").negate().root(2)
 
 
 class TestTwistShout:

@@ -8,12 +8,10 @@ from cryslift.fields import FiniteFieldSpec, MultChar, digits
 from cryslift.lifting import (
     DetSpec,
     LocalFieldShape,
-    WeightAssignment,
     build_layout,
     compat_check,
     induce_weights,
     irr_crys_lift,
-    lift_theta,
 )
 from cryslift.units import UnitExpr
 
@@ -84,7 +82,7 @@ class TestLayout:
                 j for j in range(lay.size_E0) if j % f == i0]
             assert list(k[lay.E_block(i0)]) == [
                 k[t] for t, (sig, _) in enumerate(pairs) if sig // e == i0]
-        fibres, _ = induce_weights(WeightAssignment(k), lay)
+        fibres, _ = induce_weights(k, lay)
         assert fibres == [
             tuple(sorted((k[t] for t, (sig, _) in enumerate(pairs) if sig == s),
                          reverse=True))
@@ -102,17 +100,17 @@ class TestCompatCheck:
     def test_known_example_true(self):
         shape = make_shape(3, 1, 1, 2, 2)
         tb = MultChar(FiniteFieldSpec(3, 2), 5)
-        assert compat_check(tb, DetSpec((3,), U), build_layout(shape), shape)
+        assert compat_check(tb, DetSpec((3,), U), shape)
 
     def test_known_example_false(self):
         shape = make_shape(3, 1, 1, 2, 2)
         tb = MultChar(FiniteFieldSpec(3, 2), 5)
-        assert not compat_check(tb, DetSpec((4,), U), build_layout(shape), shape)
+        assert not compat_check(tb, DetSpec((4,), U), shape)
 
     def test_trivial_character(self):
         shape = make_shape(3, 1, 1, 2, 2)
         tb = MultChar(FiniteFieldSpec(3, 2), 0)
-        assert compat_check(tb, DetSpec((0,), U), build_layout(shape), shape)
+        assert compat_check(tb, DetSpec((0,), U), shape)
 
     def test_wrong_residue_field(self):
         shape = make_shape(3, 1, 1, 2, 2)
@@ -120,7 +118,6 @@ class TestCompatCheck:
             compat_check(
                 MultChar(FiniteFieldSpec(3, 1), 1),
                 DetSpec((0,), U),
-                build_layout(shape),
                 shape,
             )
 
@@ -132,20 +129,20 @@ def check_lift_conditions(k, theta_bar, a, shape):
     pairs = sigma_E_pairs(f, e, d)
     # (3): exact sums over Sigma_F fibres
     for s in range(lay.size_F):
-        assert sum(k.k[t] for t, (sig, _) in enumerate(pairs) if sig == s) == a[s]
+        assert sum(k[t] for t, (sig, _) in enumerate(pairs) if sig == s) == a[s]
     if d == 1:
         return
     # (1): global distinctness
-    assert len(set(k.k)) == lay.size_E
+    assert len(set(k)) == lay.size_E
     # (2): digit congruences over Sigma_E0 fibres
     b = digits(theta_bar).digits
     for j0 in range(lay.size_E0):
-        tot = sum(k.k[t] for t, (_, j) in enumerate(pairs) if j == j0)
+        tot = sum(k[t] for t, (_, j) in enumerate(pairs) if j == j0)
         assert (tot - b[j0]) % (p - 1) == 0
     # block separation in canonical sigma_0 order
     prev = None
     for i0 in range(f):
-        block = [abs(v) for v in k.k[lay.E_block(i0)]]
+        block = [abs(v) for v in k[lay.E_block(i0)]]
         if prev is not None:
             assert min(block) > prev
         prev = max(block)
@@ -155,15 +152,15 @@ class TestLiftTheta:
     def test_worked_example(self):
         shape = make_shape(3, 1, 1, 2, 2)
         tb = MultChar(FiniteFieldSpec(3, 2), 5)
-        k = lift_theta(tb, DetSpec((3,), U), shape)
-        assert k.k == (2, 1)
+        k = irr_crys_lift(tb, DetSpec((3,), U), shape).weights
+        assert k == (2, 1)
         check_lift_conditions(k, tb, (3,), shape)
 
     def test_p2_vacuous_congruences(self):
         shape = make_shape(2, 1, 2, 3)
         tb = MultChar(FiniteFieldSpec(2, 3), 5)
         a = (4, -1)
-        k = lift_theta(tb, DetSpec(a, U), shape)
+        k = irr_crys_lift(tb, DetSpec(a, U), shape).weights
         check_lift_conditions(k, tb, a, shape)
 
     def test_d1_forced(self):
@@ -171,14 +168,14 @@ class TestLiftTheta:
         tb = MultChar(FiniteFieldSpec(5, 1), 2)
         a = (2, 0)
         # compat: a_0 + a_1 = 2 == digit of b=2 mod 4
-        k = lift_theta(tb, DetSpec(a, U), shape)
-        assert k.k == a
+        k = irr_crys_lift(tb, DetSpec(a, U), shape).weights
+        assert k == a
 
     def test_incompatible_rejected(self):
         shape = make_shape(3, 1, 1, 2, 2)
         tb = MultChar(FiniteFieldSpec(3, 2), 5)
         with pytest.raises(InfeasibleError):
-            lift_theta(tb, DetSpec((4,), U), shape)
+            irr_crys_lift(tb, DetSpec((4,), U), shape)
 
     def test_multi_block_shapes(self):
         rng = random.Random(11)
@@ -195,31 +192,31 @@ class TestLiftTheta:
                     target = sum(bd[j] for j in range(i0, f * d, f))
                     block[0] += (target - sum(block)) % (p - 1)
                     a.extend(block)
-                k = lift_theta(tb, DetSpec(tuple(a), U), shape)
+                k = irr_crys_lift(tb, DetSpec(tuple(a), U), shape).weights
                 check_lift_conditions(k, tb, tuple(a), shape)
 
 
 class TestInduceWeights:
     def test_distinct_pair(self):
         lay = build_layout(make_shape(3, 1, 1, 2, 2))
-        fibres, regular = induce_weights(WeightAssignment((2, 1)), lay)
+        fibres, regular = induce_weights((2, 1), lay)
         assert fibres == [(2, 1)]
         assert regular
 
     def test_repeated_value_not_regular(self):
         lay = build_layout(make_shape(3, 1, 1, 2, 2))
-        _, regular = induce_weights(WeightAssignment((2, 2)), lay)
+        _, regular = induce_weights((2, 2), lay)
         assert not regular
 
     def test_d1_always_regular(self):
         lay = build_layout(make_shape(5, 1, 2, 1))
-        fibres, regular = induce_weights(WeightAssignment((3, 3)), lay)
+        fibres, regular = induce_weights((3, 3), lay)
         assert fibres == [(3,), (3,)]
         assert regular
 
     def test_descending_order(self):
         lay = build_layout(make_shape(2, 1, 1, 3))
-        fibres, _ = induce_weights(WeightAssignment((1, 5, -2)), lay)
+        fibres, _ = induce_weights((1, 5, -2), lay)
         assert fibres == [(5, 1, -2)]
 
 
@@ -228,7 +225,7 @@ class TestIrrCrysLift:
         shape = make_shape(3, 1, 1, 2, 2)
         tb = MultChar(FiniteFieldSpec(3, 2), 5)
         cert = irr_crys_lift(tb, DetSpec((3,), U), shape)
-        assert cert.weights.k == (2, 1)
+        assert cert.weights == (2, 1)
         assert cert.theta_uniformizer == U.negate()
         assert all(v is not False for v in cert.checks.values())
 
@@ -236,7 +233,7 @@ class TestIrrCrysLift:
         shape = make_shape(5, 1, 1, 1)
         tb = MultChar(FiniteFieldSpec(5, 1), 2)
         cert = irr_crys_lift(tb, DetSpec((2,), U), shape)
-        assert cert.weights.k == (2,)
+        assert cert.weights == (2,)
         assert cert.theta_uniformizer == U  # (-1)^0 twist
         assert cert.checks["lifts_theta_bar"] is None
         assert cert.checks["weights_distinct"] is None

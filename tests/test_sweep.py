@@ -1,5 +1,5 @@
-"""Byte-identity pins for certificates and sweep reports, and the sweep's
-one digit expansion per instance.
+"""Byte-identity pins for certificates and sweep reports, the sweep's one
+digit expansion per instance, its grid and its worker count.
 
 The pinned digests were recorded before the sweep's per-certificate work
 was cut down; any drift in weights, units, recorded checks or the order
@@ -8,6 +8,7 @@ of the sweep's random draws changes them.
 
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -15,7 +16,7 @@ from cryslift import lifting, sweep
 from cryslift.certio import certificate_to_json, dumps
 from cryslift.fields import FiniteFieldSpec, MultChar, digits
 from cryslift.lifting import DetSpec, LocalFieldShape, irr_crys_lift
-from cryslift.sweep import Cell, SweepConfig, run_cell, run_sweep
+from cryslift.sweep import Cell, SweepConfig, iter_cells, run_cell, run_sweep
 from cryslift.units import UnitExpr
 
 # (p, f, e, d): d = 1, odd d, even d, and f > 1 for each
@@ -104,3 +105,42 @@ def test_recorded_checks_by_degree(digit_calls):
     # the public lift expands the digits itself, once per certificate
     assert digit_calls == [1, 5]
 
+
+def test_iter_cells_stops_at_cap():
+    """Bounds far past the field-size cap give the cells of a full scan of
+    every (p, f, d) with p^(f*d) <= cap, in the same order, at once."""
+    cap = 2 ** 4
+    scan = [Cell(p, f, e, d, t)
+            for p in (2, 3) for f in range(1, 5) for d in range(1, 5) if p ** (f * d) <= cap
+            for e in range(1, 3) for t in (p ** f - 1, p * (p ** f - 1))]
+    started = time.perf_counter()
+    cells = iter_cells(SweepConfig(p_values=(3, 2), f_max=10 ** 6, e_max=2, d_max=10 ** 6,
+                                   t_with_p=True, max_field_bits=4))
+    assert time.perf_counter() - started < 1
+    assert cells == scan
+
+
+@pytest.mark.parametrize("d_max,pool_workers", [(1, []), (3, [3])])
+def test_run_sweep_forks_at_most_one_worker_per_cell(monkeypatch, d_max, pool_workers):
+    made = []
+
+    class FakePool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", FakePool)
+    config = dict(p_values=(2,), f_max=1, e_max=1, d_max=d_max, max_field_bits=3)
+    report = run_sweep(SweepConfig(jobs=500, **config))
+    assert made == pool_workers
+    assert dumps(report) == dumps(run_sweep(SweepConfig(jobs=1, **config)))

@@ -163,20 +163,18 @@ class TestRegularConstruction:
     @example(([4, -6], [1, 1, 4], 4, 7))
     @example(([0, 100], [60, 40], 1, 0))
     @given(regular_instances())
-    def test_trace_offsets_rebuild_entries(self, inst):
+    def test_offsets_rebuild_entries(self, inst):
         """entries == base + m*offsets, with every offset vector summing
-        to 0; a kept row has offsets 0."""
+        to 0 (a kept row has offsets 0)."""
         a, b, m, C = inst
-        sol = regular_transport(a, b, m, C, trace=True)
-        assert [event["row"] for event in sol.trace] == list(range(len(a)))
-        for event, row, base in zip(sol.trace, sol.entries, _base(a, b)):
-            y = [0] * len(b) if event.get("kept") else event["offsets"]
-            assert sum(y) == 0
-            assert row == [x + m * o for x, o in zip(base, y)]
+        sol = regular_transport(a, b, m, C)
+        assert len(sol.entries) == len(a)
+        for row, base in zip(sol.entries, _base(a, b)):
+            assert all((x - x0) % m == 0 for x, x0 in zip(row, base))
+            assert sum((x - x0) // m for x, x0 in zip(row, base)) == 0
 
     def test_odd_k_offsets(self):
-        sol = regular_transport([0], [0] * 5, 1, 0, trace=True)
-        assert sol.trace[0]["offsets"] == [1, -1, 2, 3, -5]
+        assert regular_transport([0], [0] * 5, 1, 0).entries == [[1, -1, 2, 3, -5]]
 
 
 class TestVerifyAssignment:
