@@ -4,7 +4,7 @@ Submodules:
 
 * fields     -- multiplicative characters of finite fields as exponents
 * transport  -- integer transportation with exact / modular sums
-* lifting    -- embedding layouts, weight construction, lift certificates
+* lifting    -- field shapes and their embedding order, weights, lift certificates
 * induction  -- determinant-of-induction oracle on finite groups
 * ledger     -- symbolic determinant bookkeeping and twists
 * certio     -- JSON wire format and schemas
@@ -33,10 +33,8 @@ from .ledger import (
 )
 from .lifting import (
     DetSpec,
-    EmbeddingLayout,
     LiftCertificate,
     LocalFieldShape,
-    build_layout,
     compat_check,
     induce_weights,
     irr_crys_lift,

@@ -172,12 +172,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     certio.validate_report_schema(report)
     text = certio.dumps(report)
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"cannot write report to {args.out}: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+        with open(args.out, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     # wall-clock stays out of the report file so reports are reproducible

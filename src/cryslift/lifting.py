@@ -18,7 +18,7 @@ every block and fibre a slice: the i0-block of psi.a is a[i0*e:(i0+1)*e],
 the J-block of theta_bar's digits is b[i0::f], the Sigma_F fibre of s is
 the contiguous slice k[s*d:(s+1)*d] of the Sigma_E-indexed weights, and
 the Sigma_E0 fibre of j = i0 + f*l is the stride-d slice
-k[i0*e*d + l:(i0+1)*e*d:d].  EmbeddingLayout's slice methods are the
+k[i0*e*d + l:(i0+1)*e*d:d].  LocalFieldShape's slice methods are the
 builder's only implementation of this order.
 
 The weight construction solves, per i0-block, a distinct-entry
@@ -71,19 +71,13 @@ class LocalFieldShape:
     def residue_field_E(self) -> FiniteFieldSpec:
         return FiniteFieldSpec(self.p, self.f * self.d)
 
+    @property
+    def key(self) -> str:
+        """The sweep's cell key: it seeds the cell and prefixes its row ids."""
+        return f"p={self.p},f={self.f},e={self.e},d={self.d},t={self.t}"
 
-@dataclass(frozen=True)
-class EmbeddingLayout:
-    """The canonical order of Sigma_F, Sigma_E0 and Sigma_E for (f, e, d).
-
-    Every block and fibre of that order is a slice, computed on demand;
-    the layout stores nothing else.
-    """
-
-    f: int
-    e: int
-    d: int
-
+    # the canonical order of Sigma_F, Sigma_E0 and Sigma_E: it depends on
+    # (f, e, d) only, and every block and fibre of it is a slice
     @property
     def size_F(self) -> int:
         return self.e * self.f
@@ -119,11 +113,6 @@ class EmbeddingLayout:
         return slice(i0 * w + j // self.f, (i0 + 1) * w, self.d)
 
 
-def build_layout(shape: LocalFieldShape) -> EmbeddingLayout:
-    """The embedding layout of a valid shape; it depends on (f, e, d) only."""
-    return EmbeddingLayout(shape.f, shape.e, shape.d)
-
-
 @dataclass(frozen=True)
 class DetSpec:
     """A determinant character: unit-part exponents over Sigma_F plus the
@@ -131,13 +120,6 @@ class DetSpec:
 
     a: tuple[int, ...]
     uniformizer: UnitExpr
-
-    def validate(self, layout: EmbeddingLayout) -> None:
-        if len(self.a) != layout.size_F:
-            raise ValueError(
-                f"determinant exponent tuple has length {len(self.a)}, "
-                f"expected |Sigma_F| = {layout.size_F}"
-            )
 
 
 @dataclass(frozen=True)
@@ -165,13 +147,17 @@ def _digits(theta_bar: MultChar, shape: LocalFieldShape) -> tuple[int, ...]:
     return digits(theta_bar).digits
 
 
-def _compat(b: tuple[int, ...], psi: DetSpec, layout: EmbeddingLayout, p: int) -> bool:
+def _compat(b: tuple[int, ...], psi: DetSpec, shape: LocalFieldShape) -> bool:
     """The compatibility congruence of psi against theta_bar's digits b."""
-    psi.validate(layout)
+    if len(psi.a) != shape.size_F:
+        raise ValueError(
+            f"determinant exponent tuple has length {len(psi.a)}, "
+            f"expected |Sigma_F| = {shape.size_F}"
+        )
     # p = 2 makes the modulus 1 and the condition vacuous
     return all(
-        (sum(psi.a[layout.F_block(i0)]) - sum(b[layout.J_block(i0)])) % (p - 1) == 0
-        for i0 in range(layout.f)
+        (sum(psi.a[shape.F_block(i0)]) - sum(b[shape.J_block(i0)])) % (shape.p - 1) == 0
+        for i0 in range(shape.f)
     )
 
 
@@ -188,19 +174,19 @@ def compat_check(theta_bar: MultChar, psi: DetSpec, shape: LocalFieldShape) -> b
     one that is exactly equivalent to per-block feasibility of the weight
     construction; the two forms agree whenever f = 1 or d = 1.
     """
-    return _compat(_digits(theta_bar, shape), psi, build_layout(shape), shape.p)
+    return _compat(_digits(theta_bar, shape), psi, shape)
 
 
-def _build_weights(b: tuple[int, ...], a: tuple[int, ...], layout: EmbeddingLayout,
-                   p: int) -> tuple[int, ...]:
+def _build_weights(b: tuple[int, ...], a: tuple[int, ...],
+                   shape: LocalFieldShape) -> tuple[int, ...]:
     """Weights from compatible digits b and determinant exponents a, one
     distinct-entry transport per i0-block (k = a when d = 1)."""
-    if layout.d == 1:
+    if shape.d == 1:
         return tuple(a)
     k: list[int] = []
     C = 0
-    for i0 in range(layout.f):
-        sol = regular_transport(a[layout.F_block(i0)], b[layout.J_block(i0)], p - 1, C)
+    for i0 in range(shape.f):
+        sol = regular_transport(a[shape.F_block(i0)], b[shape.J_block(i0)], shape.p - 1, C)
         ok, violations = verify_assignment(sol)
         assert ok, f"solver output failed its own checker: {violations}"
         for row in sol.entries:
@@ -210,7 +196,7 @@ def _build_weights(b: tuple[int, ...], a: tuple[int, ...], layout: EmbeddingLayo
 
 
 def induce_weights(
-    k: tuple[int, ...], layout: EmbeddingLayout
+    k: tuple[int, ...], shape: LocalFieldShape
 ) -> tuple[list[tuple[int, ...]], bool]:
     """Per-Sigma_F weight multisets of the induced representation.
 
@@ -218,15 +204,15 @@ def induce_weights(
     regular weights iff every fibre has d distinct values.
     """
     fibres = [
-        tuple(sorted(k[layout.F_fibre(s)], reverse=True))
-        for s in range(layout.size_F)
+        tuple(sorted(k[shape.F_fibre(s)], reverse=True))
+        for s in range(shape.size_F)
     ]
-    regular = all(len(set(fib)) == layout.d for fib in fibres)
+    regular = all(len(set(fib)) == shape.d for fib in fibres)
     return fibres, regular
 
 
-def _block_separation_holds(k: tuple[int, ...], layout: EmbeddingLayout) -> bool:
-    blocks = [[abs(v) for v in k[layout.E_block(i0)]] for i0 in range(layout.f)]
+def _block_separation_holds(k: tuple[int, ...], shape: LocalFieldShape) -> bool:
+    blocks = [[abs(v) for v in k[shape.E_block(i0)]] for i0 in range(shape.f)]
     return all(max(lo) < min(hi) for lo, hi in zip(blocks, blocks[1:]))
 
 
@@ -239,32 +225,31 @@ def irr_crys_lift(theta_bar: MultChar, psi: DetSpec, shape: LocalFieldShape) -> 
     The uniformizer value of the lifted character is (-1)^(d-1) times the
     determinant's value, per determinant-of-induction.
     """
-    layout = build_layout(shape)
-    return _lift(theta_bar, _digits(theta_bar, shape), psi, shape, layout)
+    return _lift(theta_bar, _digits(theta_bar, shape), psi, shape)
 
 
-def _lift(theta_bar: MultChar, b: tuple[int, ...], psi: DetSpec, shape: LocalFieldShape,
-          layout: EmbeddingLayout) -> LiftCertificate:
-    """irr_crys_lift from theta_bar's digits b and the layout of shape."""
-    compat = _compat(b, psi, layout, shape.p)
+def _lift(theta_bar: MultChar, b: tuple[int, ...], psi: DetSpec,
+          shape: LocalFieldShape) -> LiftCertificate:
+    """irr_crys_lift from theta_bar's digits b."""
+    compat = _compat(b, psi, shape)
     if not compat:
         raise InfeasibleError("incompatible (theta_bar, psi): no certificate")
-    k = _build_weights(b, psi.a, layout, shape.p)
+    k = _build_weights(b, psi.a, shape)
     d = shape.d
     theta_unif = psi.uniformizer if d % 2 == 1 else psi.uniformizer.negate()
 
     # recorded identities, each recomputed here from the raw data
     row_sums_exact = all(
-        sum(k[layout.F_fibre(s)]) == psi.a[s] for s in range(layout.size_F)
+        sum(k[shape.F_fibre(s)]) == psi.a[s] for s in range(shape.size_F)
     )
     if d > 1:
         col_congruent = all(
-            (sum(k[layout.E0_fibre(j)]) - b[j]) % (shape.p - 1) == 0
-            for j in range(layout.size_E0)
+            (sum(k[shape.E0_fibre(j)]) - b[j]) % (shape.p - 1) == 0
+            for j in range(shape.size_E0)
         )
-        distinct = len(set(k)) == layout.size_E
-        separation = _block_separation_holds(k, layout)
-        _, regular = induce_weights(k, layout)
+        distinct = len(set(k)) == shape.size_E
+        separation = _block_separation_holds(k, shape)
+        _, regular = induce_weights(k, shape)
     else:
         col_congruent = distinct = separation = None
         regular = True

@@ -4,12 +4,14 @@ Every cell of the grid is a shape (p, f, e, d, t).  Within a cell the
 sweep runs over theta_bar exponents (all of them, or a seeded random
 sample), draws determinant exponents forced through the compatibility
 check, builds a lift certificate, and verifies the emitted JSON with the
-independent verifier.  Cell seeds are derived from (seed, cell key), so
-reports are byte-identical for a fixed seed regardless of parallelism.
+independent verifier.  Each shape's random draws are seeded from
+(seed, shape.key), so reports are byte-identical for a fixed seed
+regardless of parallelism.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -17,7 +19,7 @@ from dataclasses import asdict, dataclass
 from .certio import REPORT_SCHEMA_ID, certificate_to_json
 from .errors import InfeasibleError
 from .fields import MultChar, digits, is_prime
-from .lifting import DetSpec, EmbeddingLayout, LocalFieldShape, _lift, build_layout
+from .lifting import DetSpec, LocalFieldShape, _lift
 from .units import UnitExpr
 from .verify import verify_certificate
 
@@ -50,20 +52,7 @@ class SweepConfig:
             raise ValueError(f"unknown record mode {self.record!r}")
 
 
-@dataclass(frozen=True)
-class Cell:
-    p: int
-    f: int
-    e: int
-    d: int
-    t: int
-
-    @property
-    def key(self) -> str:
-        return f"p={self.p},f={self.f},e={self.e},d={self.d},t={self.t}"
-
-
-def iter_cells(config: SweepConfig) -> list[Cell]:
+def iter_cells(config: SweepConfig) -> list[LocalFieldShape]:
     cells = []
     cap = 2 ** config.max_field_bits
     # p^f and p^(f*d) only grow with f and d, so both loops stop at the cap
@@ -78,49 +67,49 @@ def iter_cells(config: SweepConfig) -> list[Cell]:
                 ts = [q - 1] + ([p * (q - 1)] if config.t_with_p else [])
                 for e in range(1, config.e_max + 1):
                     for t in ts:
-                        cells.append(Cell(p, f, e, d, t))
+                        cells.append(LocalFieldShape(p, f, e, d, t))
     return cells
 
 
 def _force_compat(
-    rng: random.Random, layout: EmbeddingLayout, b: tuple[int, ...], p: int, bound: int
+    rng: random.Random, shape: LocalFieldShape, b: tuple[int, ...], bound: int
 ) -> tuple[int, ...]:
     """Sample determinant exponents |a| <= bound and adjust one entry per
     unramified block so that it meets its J-block of theta_bar's digits b
     in the compatibility congruence."""
+    p = shape.p
     a: list[int] = []
-    for i0 in range(layout.f):
-        block = [rng.randint(-bound, bound) for _ in range(layout.e)]
-        delta = (sum(b[layout.J_block(i0)]) - sum(block)) % (p - 1)
+    for i0 in range(shape.f):
+        block = [rng.randint(-bound, bound) for _ in range(shape.e)]
+        delta = (sum(b[shape.J_block(i0)]) - sum(block)) % (p - 1)
         block[0] += delta
-        while block[0] > bound and block[0] - (p - 1) >= -bound:
+        # 0 <= delta <= p-2, so one step of p-1 brings block[0] to at most bound-1
+        if block[0] > bound and block[0] - (p - 1) >= -bound:
             block[0] -= p - 1
         a.extend(block)
     return tuple(a)
 
 
-def run_cell(cell: Cell, config: SweepConfig) -> list[dict]:
-    """All instance rows for one cell; deterministic from (config.seed, cell)."""
-    rng = random.Random(f"{config.seed}:{cell.key}")
-    shape = LocalFieldShape(cell.p, cell.f, cell.e, cell.d, cell.t)
-    big_q = cell.p ** (cell.f * cell.d)
+def run_cell(shape: LocalFieldShape, config: SweepConfig) -> list[dict]:
+    """All instance rows for one shape; deterministic from (config.seed, shape)."""
+    rng = random.Random(f"{config.seed}:{shape.key}")
+    big_q = shape.p ** (shape.f * shape.d)
     if config.thetas_per_cell is None or config.thetas_per_cell >= big_q - 1:
         bs = range(big_q - 1)
     else:
         bs = sorted(rng.sample(range(big_q - 1), config.thetas_per_cell))
-    layout = build_layout(shape)
     field_E = shape.residue_field_E
     psi_unif = UnitExpr.symbol("psi(varpi_F)")
     rows = []
     for b in bs:
         theta_bar = MultChar(field_E, b)
         b_digits = digits(theta_bar).digits
-        a = _force_compat(rng, layout, b_digits, cell.p, config.a_bound)
+        a = _force_compat(rng, shape, b_digits, config.a_bound)
         psi = DetSpec(a, psi_unif)
-        row_id = f"{cell.key},b={b}"
+        row_id = f"{shape.key},b={b}"
         try:
             # one digit expansion per instance: the lift reuses b_digits
-            cert = _lift(theta_bar, b_digits, psi, shape, layout)
+            cert = _lift(theta_bar, b_digits, psi, shape)
         except InfeasibleError as exc:
             rows.append(
                 {"id": row_id, "pass": False, "violations": [f"infeasible: {exc}"]}
@@ -134,8 +123,9 @@ def run_cell(cell: Cell, config: SweepConfig) -> list[dict]:
 def run_sweep(config: SweepConfig) -> dict:
     """Run the whole grid and assemble a deterministic report."""
     cells = iter_cells(config)
-    # the pool forks all its workers at once, so fork no more than there are cells
-    jobs = min(config.jobs, len(cells))
+    # the pool forks all its workers at once, so fork no more than there are
+    # cells or CPUs to run them
+    jobs = min(config.jobs, len(cells), os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_cell = list(pool.map(run_cell, cells, [config] * len(cells)))

@@ -90,6 +90,16 @@ def test_lift_incompatible_exit_3(capsys):
     assert code == 3
 
 
+def test_lift_wrong_exponent_count_exit_2(capsys):
+    # |Sigma_F| = e*f = 1, so two determinant exponents are one too many
+    code, doc = run_cli(
+        capsys, "lift", "--p", "3", "--f", "1", "--e", "1", "--d", "2",
+        "--t", "2", "--theta-bar", "5", "--a", "3,0",
+    )
+    assert code == 2
+    assert doc["kind"] == "bad-input" and "expected |Sigma_F| = 1" in doc["error"]
+
+
 def test_verify_round_trip(capsys, tmp_path):
     code, doc = run_cli(
         capsys, "lift", "--p", "3", "--f", "1", "--e", "1", "--d", "2",
@@ -207,6 +217,13 @@ def test_sweep_deterministic(capsys, tmp_path):
     report = json.loads(out1.read_text())
     assert report["totals"]["failed"] == 0
     assert report["totals"]["instances"] == len(report["instances"])
+
+
+def test_sweep_unwritable_out_exit_2(capsys, tmp_path):
+    code, doc = run_cli(capsys, "sweep", "--p-values", "2", "--f-max", "1", "--e-max", "1",
+                        "--d-max", "1", "--out", str(tmp_path / "missing" / "r.json"))
+    assert code == 2
+    assert doc["kind"] == "bad-input" and set(doc) == {"error", "kind"}
 
 
 def test_sweep_empty_range_rejected(capsys):

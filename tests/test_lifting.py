@@ -8,7 +8,6 @@ from cryslift.fields import FiniteFieldSpec, MultChar, digits
 from cryslift.lifting import (
     DetSpec,
     LocalFieldShape,
-    build_layout,
     compat_check,
     induce_weights,
     irr_crys_lift,
@@ -31,62 +30,67 @@ def sigma_E_pairs(f, e, d):
 
 class TestLayout:
     def test_counting_small(self):
-        lay = build_layout(make_shape(3, 1, 1, 2))
-        assert (lay.size_F, lay.size_E0, lay.size_E) == (1, 2, 2)
+        shape = make_shape(3, 1, 1, 2)
+        assert (shape.size_F, shape.size_E0, shape.size_E) == (1, 2, 2)
 
     def test_counting_ramified(self):
-        lay = build_layout(make_shape(2, 2, 3, 2))
-        assert (lay.size_F, lay.size_E0, lay.size_E) == (6, 4, 12)
-        a, b, k = range(lay.size_F), range(lay.size_E0), range(lay.size_E)
-        assert all(len(a[lay.F_block(i0)]) == 3 for i0 in range(lay.f))
-        assert all(len(b[lay.J_block(i0)]) == 2 for i0 in range(lay.f))
-        assert all(len(k[lay.E_block(i0)]) == 6 for i0 in range(lay.f))
+        shape = make_shape(2, 2, 3, 2)
+        assert (shape.size_F, shape.size_E0, shape.size_E) == (6, 4, 12)
+        a, b, k = range(shape.size_F), range(shape.size_E0), range(shape.size_E)
+        assert all(len(a[shape.F_block(i0)]) == 3 for i0 in range(shape.f))
+        assert all(len(b[shape.J_block(i0)]) == 2 for i0 in range(shape.f))
+        assert all(len(k[shape.E_block(i0)]) == 6 for i0 in range(shape.f))
 
     def test_degenerate_d1(self):
-        lay = build_layout(make_shape(5, 1, 1, 1))
-        assert lay.size_F == lay.size_E == 1
+        shape = make_shape(5, 1, 1, 1)
+        assert shape.size_F == shape.size_E == 1
 
     def test_pairing_bijection(self):
-        lay = build_layout(make_shape(3, 2, 2, 3))
-        idx = range(lay.size_E)
-        above_F = {t: s for s in range(lay.size_F) for t in idx[lay.F_fibre(s)]}
-        above_E0 = {t: j for j in range(lay.size_E0) for t in idx[lay.E0_fibre(j)]}
-        assert len(above_F) == len(above_E0) == lay.size_E  # the fibres cover Sigma_E
-        assert len({(above_F[t], above_E0[t]) for t in idx}) == lay.size_E
+        shape = make_shape(3, 2, 2, 3)
+        idx = range(shape.size_E)
+        above_F = {t: s for s in range(shape.size_F) for t in idx[shape.F_fibre(s)]}
+        above_E0 = {t: j for j in range(shape.size_E0) for t in idx[shape.E0_fibre(j)]}
+        assert len(above_F) == len(above_E0) == shape.size_E  # the fibres cover Sigma_E
+        assert len({(above_F[t], above_E0[t]) for t in idx}) == shape.size_E
         for t in idx:
             # both restrict to the same sigma_0
-            assert above_F[t] // lay.e == above_E0[t] % lay.f
+            assert above_F[t] // shape.e == above_E0[t] % shape.f
 
-    def test_equal_shapes_share_one_layout(self):
-        assert build_layout(make_shape(3, 2, 2, 3)) == build_layout(make_shape(3, 2, 2, 3))
-        # the layout depends on (f, e, d) only, not on p or t
-        assert build_layout(make_shape(3, 2, 2, 3)) == build_layout(make_shape(5, 2, 2, 3, 48))
+    def test_order_depends_on_f_e_d_only(self):
+        # every slice of the order is the same for any p and t
+        x, y = make_shape(3, 2, 2, 3), make_shape(5, 2, 2, 3, 48)
+        assert (x.size_F, x.size_E0, x.size_E) == (y.size_F, y.size_E0, y.size_E)
+        for i0 in range(x.f):
+            for name in ("F_block", "J_block", "E_block"):
+                assert getattr(x, name)(i0) == getattr(y, name)(i0)
+        assert all(x.F_fibre(s) == y.F_fibre(s) for s in range(x.size_F))
+        assert all(x.E0_fibre(j) == y.E0_fibre(j) for j in range(x.size_E0))
 
     @pytest.mark.parametrize("f,e,d", [
         (f, e, d) for f in range(1, 5) for e in range(1, 5) for d in range(1, 5)
     ])
     def test_slice_fibres_match_sigma_E_scans(self, f, e, d):
-        lay = build_layout(make_shape(2, f, e, d))
+        shape = make_shape(2, f, e, d)
         pairs = sigma_E_pairs(f, e, d)
-        k = tuple(range(100, 100 + lay.size_E))
-        for s in range(lay.size_F):
+        k = tuple(range(100, 100 + shape.size_E))
+        for s in range(shape.size_F):
             scan = [k[t] for t, (sig, _) in enumerate(pairs) if sig == s]
-            assert list(k[lay.F_fibre(s)]) == scan
-        for j0 in range(lay.size_E0):
+            assert list(k[shape.F_fibre(s)]) == scan
+        for j0 in range(shape.size_E0):
             scan = [k[t] for t, (_, j) in enumerate(pairs) if j == j0]
-            assert list(k[lay.E0_fibre(j0)]) == scan
+            assert list(k[shape.E0_fibre(j0)]) == scan
         for i0 in range(f):
-            assert list(range(lay.size_F)[lay.F_block(i0)]) == [
-                s for s in range(lay.size_F) if s // e == i0]
-            assert list(range(lay.size_E0)[lay.J_block(i0)]) == [
-                j for j in range(lay.size_E0) if j % f == i0]
-            assert list(k[lay.E_block(i0)]) == [
+            assert list(range(shape.size_F)[shape.F_block(i0)]) == [
+                s for s in range(shape.size_F) if s // e == i0]
+            assert list(range(shape.size_E0)[shape.J_block(i0)]) == [
+                j for j in range(shape.size_E0) if j % f == i0]
+            assert list(k[shape.E_block(i0)]) == [
                 k[t] for t, (sig, _) in enumerate(pairs) if sig // e == i0]
-        fibres, _ = induce_weights(k, lay)
+        fibres, _ = induce_weights(k, shape)
         assert fibres == [
             tuple(sorted((k[t] for t, (sig, _) in enumerate(pairs) if sig == s),
                          reverse=True))
-            for s in range(lay.size_F)
+            for s in range(shape.size_F)
         ]
 
     def test_invalid_shape_rejected(self):
@@ -121,28 +125,37 @@ class TestCompatCheck:
                 shape,
             )
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_wrong_exponent_count_rejected(self, n):
+        # |Sigma_F| = e*f = 4: a tuple one short or one long is bad input
+        shape = make_shape(3, 2, 2, 2)
+        tb = MultChar(FiniteFieldSpec(3, 4), 5)
+        psi = DetSpec((0,) * n, U)
+        for build in (compat_check, irr_crys_lift):
+            with pytest.raises(ValueError, match=rf"length {n}, expected \|Sigma_F\| = 4"):
+                build(tb, psi, shape)
+
 
 def check_lift_conditions(k, theta_bar, a, shape):
     """Conditions of the weight construction, recomputed from scratch."""
-    lay = build_layout(shape)
     p, e, d, f = shape.p, shape.e, shape.d, shape.f
     pairs = sigma_E_pairs(f, e, d)
     # (3): exact sums over Sigma_F fibres
-    for s in range(lay.size_F):
+    for s in range(shape.size_F):
         assert sum(k[t] for t, (sig, _) in enumerate(pairs) if sig == s) == a[s]
     if d == 1:
         return
     # (1): global distinctness
-    assert len(set(k)) == lay.size_E
+    assert len(set(k)) == shape.size_E
     # (2): digit congruences over Sigma_E0 fibres
     b = digits(theta_bar).digits
-    for j0 in range(lay.size_E0):
+    for j0 in range(shape.size_E0):
         tot = sum(k[t] for t, (_, j) in enumerate(pairs) if j == j0)
         assert (tot - b[j0]) % (p - 1) == 0
     # block separation in canonical sigma_0 order
     prev = None
     for i0 in range(f):
-        block = [abs(v) for v in k[lay.E_block(i0)]]
+        block = [abs(v) for v in k[shape.E_block(i0)]]
         if prev is not None:
             assert min(block) > prev
         prev = max(block)
@@ -198,25 +211,21 @@ class TestLiftTheta:
 
 class TestInduceWeights:
     def test_distinct_pair(self):
-        lay = build_layout(make_shape(3, 1, 1, 2, 2))
-        fibres, regular = induce_weights((2, 1), lay)
+        fibres, regular = induce_weights((2, 1), make_shape(3, 1, 1, 2, 2))
         assert fibres == [(2, 1)]
         assert regular
 
     def test_repeated_value_not_regular(self):
-        lay = build_layout(make_shape(3, 1, 1, 2, 2))
-        _, regular = induce_weights((2, 2), lay)
+        _, regular = induce_weights((2, 2), make_shape(3, 1, 1, 2, 2))
         assert not regular
 
     def test_d1_always_regular(self):
-        lay = build_layout(make_shape(5, 1, 2, 1))
-        fibres, regular = induce_weights((3, 3), lay)
+        fibres, regular = induce_weights((3, 3), make_shape(5, 1, 2, 1))
         assert fibres == [(3,), (3,)]
         assert regular
 
     def test_descending_order(self):
-        lay = build_layout(make_shape(2, 1, 1, 3))
-        fibres, _ = induce_weights((1, 5, -2), lay)
+        fibres, _ = induce_weights((1, 5, -2), make_shape(2, 1, 1, 3))
         assert fibres == [(5, 1, -2)]
 
 

@@ -16,7 +16,7 @@ from cryslift import lifting, sweep
 from cryslift.certio import certificate_to_json, dumps
 from cryslift.fields import FiniteFieldSpec, MultChar, digits
 from cryslift.lifting import DetSpec, LocalFieldShape, irr_crys_lift
-from cryslift.sweep import Cell, SweepConfig, iter_cells, run_cell, run_sweep
+from cryslift.sweep import SweepConfig, iter_cells, run_cell, run_sweep
 from cryslift.units import UnitExpr
 
 # (p, f, e, d): d = 1, odd d, even d, and f > 1 for each
@@ -76,8 +76,9 @@ def digit_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("cell", [Cell(3, 1, 2, 1, 2), Cell(3, 2, 1, 2, 8),
-                                  Cell(2, 1, 2, 3, 1)])
+@pytest.mark.parametrize("cell", [LocalFieldShape(3, 1, 2, 1, 2),
+                                  LocalFieldShape(3, 2, 1, 2, 8),
+                                  LocalFieldShape(2, 1, 2, 3, 1)])
 def test_run_cell_expands_digits_once_per_instance(digit_calls, cell):
     rows = run_cell(cell, SweepConfig(thetas_per_cell=None))
     assert len(rows) == cell.p ** (cell.f * cell.d) - 1
@@ -110,7 +111,7 @@ def test_iter_cells_stops_at_cap():
     """Bounds far past the field-size cap give the cells of a full scan of
     every (p, f, d) with p^(f*d) <= cap, in the same order, at once."""
     cap = 2 ** 4
-    scan = [Cell(p, f, e, d, t)
+    scan = [LocalFieldShape(p, f, e, d, t)
             for p in (2, 3) for f in range(1, 5) for d in range(1, 5) if p ** (f * d) <= cap
             for e in range(1, 3) for t in (p ** f - 1, p * (p ** f - 1))]
     started = time.perf_counter()
@@ -120,13 +121,13 @@ def test_iter_cells_stops_at_cap():
     assert cells == scan
 
 
-@pytest.mark.parametrize("d_max,pool_workers", [(1, []), (3, [3])])
-def test_run_sweep_forks_at_most_one_worker_per_cell(monkeypatch, d_max, pool_workers):
+@pytest.fixture
+def made_pools(monkeypatch):
+    """Replaces ProcessPoolExecutor with an in-process pool, so that no test
+    forks a process, and lists the max_workers of each pool made."""
     made = []
 
     class FakePool:
-        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
-
         def __init__(self, max_workers):
             made.append(max_workers)
 
@@ -140,7 +141,26 @@ def test_run_sweep_forks_at_most_one_worker_per_cell(monkeypatch, d_max, pool_wo
             return map(fn, *iterables)
 
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", FakePool)
+    return made
+
+
+@pytest.mark.parametrize("d_max,pool_workers", [(1, []), (3, [3])])
+def test_run_sweep_forks_at_most_one_worker_per_cell(monkeypatch, made_pools, d_max,
+                                                     pool_workers):
+    # with CPUs to spare, the cells are the cap
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 64)
     config = dict(p_values=(2,), f_max=1, e_max=1, d_max=d_max, max_field_bits=3)
     report = run_sweep(SweepConfig(jobs=500, **config))
-    assert made == pool_workers
+    assert made_pools == pool_workers
+    assert dumps(report) == dumps(run_sweep(SweepConfig(jobs=1, **config)))
+
+
+@pytest.mark.parametrize("cpus,pool_workers", [(2, [2]), (None, [])])
+def test_run_sweep_forks_at_most_one_worker_per_cpu(monkeypatch, made_pools, cpus,
+                                                    pool_workers):
+    # 3 cells; an unknown CPU count counts as one CPU
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+    config = dict(p_values=(2,), f_max=1, e_max=1, d_max=3, max_field_bits=3)
+    report = run_sweep(SweepConfig(jobs=500, **config))
+    assert made_pools == pool_workers
     assert dumps(report) == dumps(run_sweep(SweepConfig(jobs=1, **config)))
