@@ -8,6 +8,7 @@ infeasible instance or failed verification, 4 internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -166,16 +167,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         max_field_bits=args.max_field_bits,
         record=args.record,
     )
-    started = time.monotonic()
-    report = run_sweep(config)
-    elapsed = time.monotonic() - started
-    certio.validate_report_schema(report)
-    text = certio.dumps(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # --out is opened first, so that a bad path fails before the grid runs
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        started = time.monotonic()
+        report = run_sweep(config)
+        elapsed = time.monotonic() - started
+        certio.validate_report_schema(report)
+        out.write(certio.dumps(report))
     # wall-clock stays out of the report file so reports are reproducible
     print(f"sweep finished in {elapsed:.2f}s", file=sys.stderr)
     return EXIT_OK if report["totals"]["failed"] == 0 else EXIT_INFEASIBLE

@@ -7,6 +7,11 @@ check, builds a lift certificate, and verifies the emitted JSON with the
 independent verifier.  Each shape's random draws are seeded from
 (seed, shape.key), so reports are byte-identical for a fixed seed
 regardless of parallelism.
+
+With more than one job, pool workers take contiguous chunks of cells of
+about equal instance counts and return each chunk's totals with the rows
+it keeps: under record="failures" only failing rows travel back to the
+parent, which adds up the totals and joins the kept rows in grid order.
 """
 
 from __future__ import annotations
@@ -22,6 +27,12 @@ from .fields import MultChar, digits, is_prime
 from .lifting import DetSpec, LocalFieldShape, _lift
 from .units import UnitExpr
 from .verify import verify_certificate
+
+# Chunks of cells per pool worker: pool.map hands them out as workers come
+# free, which evens out what equal instance counts leave uneven (an
+# instance costs more as e and d grow), while each task still carries
+# many cells.
+CHUNKS_PER_WORKER = 16
 
 
 @dataclass(frozen=True)
@@ -120,25 +131,60 @@ def run_cell(shape: LocalFieldShape, config: SweepConfig) -> list[dict]:
     return rows
 
 
+def _run_chunk(
+    cells: list[LocalFieldShape], config: SweepConfig
+) -> tuple[int, int, list[list[dict]]]:
+    """(instances, passed, kept rows per cell) for a run of cells.  Rows are
+    dropped in place, so each cell's list keeps the type run_cell gave it
+    on its way back from a pool worker (perfbench's tracer rides on it)."""
+    instances = passed = 0
+    kept = []
+    for shape in cells:
+        rows = run_cell(shape, config)
+        cell_passed = sum(r["pass"] for r in rows)
+        instances += len(rows)
+        passed += cell_passed
+        if config.record == "failures":
+            rows[:] = [r for r in rows if not r["pass"]]
+        kept.append(rows)
+    return instances, passed, kept
+
+
+def _chunks(
+    cells: list[LocalFieldShape], config: SweepConfig, n: int
+) -> list[list[LocalFieldShape]]:
+    """At most n contiguous runs of cells with about equal instance counts.
+    Equal cell counts would not do: the grid's largest fields come last."""
+    sizes = [min(c.p ** (c.f * c.d) - 1, config.thetas_per_cell or c.p ** (c.f * c.d))
+             for c in cells]
+    total, done, start, chunks = sum(sizes), 0, 0, []
+    for i, size in enumerate(sizes):
+        done += size
+        # every size is at least 1, so the last cell closes the n-th run
+        if done * n >= total * (len(chunks) + 1):
+            chunks.append(cells[start:i + 1])
+            start = i + 1
+    return chunks
+
+
 def run_sweep(config: SweepConfig) -> dict:
     """Run the whole grid and assemble a deterministic report."""
     cells = iter_cells(config)
     # the pool forks all its workers at once, so fork no more than there are
-    # cells or CPUs to run them
-    jobs = min(config.jobs, len(cells), os.cpu_count() or 1)
+    # cells or CPUs this process may run on
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    jobs = min(config.jobs, len(cells), cpus)
     if jobs > 1:
+        chunks = _chunks(cells, config, jobs * CHUNKS_PER_WORKER)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_cell = list(pool.map(run_cell, cells, [config] * len(cells)))
+            results = list(pool.map(_run_chunk, chunks, [config] * len(chunks)))
     else:
-        per_cell = [run_cell(c, config) for c in cells]
-    rows = [row for cell_rows in per_cell for row in cell_rows]
-    totals = {
-        "instances": len(rows),
-        "passed": sum(1 for r in rows if r["pass"]),
-        "failed": sum(1 for r in rows if not r["pass"]),
-    }
-    if config.record == "failures":
-        rows = [r for r in rows if not r["pass"]]
+        results = [_run_chunk(cells, config)]
+    instances = sum(r[0] for r in results)
+    passed = sum(r[1] for r in results)
+    totals = {"instances": instances, "passed": passed, "failed": instances - passed}
+    rows = [row for _, _, kept in results for cell_rows in kept for row in cell_rows]
     return {
         "schema": REPORT_SCHEMA_ID,
         # jobs changes only how the grid is run, so the report leaves it

@@ -176,8 +176,9 @@ def verify_assignment(M: AssignmentMatrix) -> tuple[bool, list[str]]:
         flat = [v for row in x for v in row]
         if not _all_distinct(flat):
             violations.append("entries are not pairwise distinct")
-        for i in range(n):
-            for j in range(k):
-                if abs(x[i][j]) <= inst.C:
-                    violations.append(f"|x[{i}][{j}]| = {abs(x[i][j])} <= C = {inst.C}")
+        if min(map(abs, flat)) <= inst.C:
+            for i in range(n):
+                for j in range(k):
+                    if abs(x[i][j]) <= inst.C:
+                        violations.append(f"|x[{i}][{j}]| = {abs(x[i][j])} <= C = {inst.C}")
     return (not violations), violations

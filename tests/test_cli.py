@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from cryslift import cli
 from cryslift.cli import main
 from cryslift.transport import AssignmentMatrix, TransportInstance, verify_assignment
 
@@ -220,6 +221,17 @@ def test_sweep_deterministic(capsys, tmp_path):
 
 
 def test_sweep_unwritable_out_exit_2(capsys, tmp_path):
+    code, doc = run_cli(capsys, "sweep", "--p-values", "2", "--f-max", "1", "--e-max", "1",
+                        "--d-max", "1", "--out", str(tmp_path / "missing" / "r.json"))
+    assert code == 2
+    assert doc["kind"] == "bad-input" and set(doc) == {"error", "kind"}
+
+
+def test_sweep_bad_out_fails_before_the_sweep(capsys, monkeypatch, tmp_path):
+    def run_sweep(config):
+        raise AssertionError("the sweep ran before --out was opened")
+
+    monkeypatch.setattr(cli, "run_sweep", run_sweep)
     code, doc = run_cli(capsys, "sweep", "--p-values", "2", "--f-max", "1", "--e-max", "1",
                         "--d-max", "1", "--out", str(tmp_path / "missing" / "r.json"))
     assert code == 2

@@ -1,5 +1,6 @@
 """Byte-identity pins for certificates and sweep reports, the sweep's one
-digit expansion per instance, its grid and its worker count.
+digit expansion per instance, its grid, its worker count and the rows
+that record="failures" keeps.
 
 The pinned digests were recorded before the sweep's per-certificate work
 was cut down; any drift in weights, units, recorded checks or the order
@@ -7,6 +8,7 @@ of the sweep's random draws changes them.
 """
 
 import hashlib
+import json
 import random
 import time
 
@@ -14,7 +16,7 @@ import pytest
 
 from cryslift import lifting, sweep
 from cryslift.certio import certificate_to_json, dumps
-from cryslift.fields import FiniteFieldSpec, MultChar, digits
+from cryslift.fields import FiniteFieldSpec, MultChar, digits, is_prime
 from cryslift.lifting import DetSpec, LocalFieldShape, irr_crys_lift
 from cryslift.sweep import SweepConfig, iter_cells, run_cell, run_sweep
 from cryslift.units import UnitExpr
@@ -144,11 +146,23 @@ def made_pools(monkeypatch):
     return made
 
 
+def _pin_cpus(monkeypatch, cpus):
+    """Lets this process run on `cpus` CPUs of a 64-CPU host; None stands
+    for a platform with no affinity mask whose CPU count is unknown."""
+    if cpus is None:
+        monkeypatch.delattr(sweep.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 64)
+
+
 @pytest.mark.parametrize("d_max,pool_workers", [(1, []), (3, [3])])
 def test_run_sweep_forks_at_most_one_worker_per_cell(monkeypatch, made_pools, d_max,
                                                      pool_workers):
     # with CPUs to spare, the cells are the cap
-    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 64)
+    _pin_cpus(monkeypatch, 64)
     config = dict(p_values=(2,), f_max=1, e_max=1, d_max=d_max, max_field_bits=3)
     report = run_sweep(SweepConfig(jobs=500, **config))
     assert made_pools == pool_workers
@@ -158,9 +172,90 @@ def test_run_sweep_forks_at_most_one_worker_per_cell(monkeypatch, made_pools, d_
 @pytest.mark.parametrize("cpus,pool_workers", [(2, [2]), (None, [])])
 def test_run_sweep_forks_at_most_one_worker_per_cpu(monkeypatch, made_pools, cpus,
                                                     pool_workers):
-    # 3 cells; an unknown CPU count counts as one CPU
-    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+    # 3 cells; the CPUs this process may use count, not those of the host,
+    # and an unknown CPU count counts as one CPU
+    _pin_cpus(monkeypatch, cpus)
     config = dict(p_values=(2,), f_max=1, e_max=1, d_max=3, max_field_bits=3)
     report = run_sweep(SweepConfig(jobs=500, **config))
     assert made_pools == pool_workers
     assert dumps(report) == dumps(run_sweep(SweepConfig(jobs=1, **config)))
+
+
+def test_run_sweep_without_affinity_mask_counts_host_cpus(monkeypatch, made_pools):
+    monkeypatch.delattr(sweep.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+    run_sweep(SweepConfig(jobs=500, p_values=(2,), f_max=1, e_max=1, d_max=3,
+                          max_field_bits=3))
+    assert made_pools == [2]
+
+
+# fewer cells than the chunks of a 3-worker pool, and more
+FAILURE_GRIDS = {
+    "few_cells": dict(p_values=(2, 3), f_max=2, e_max=2, d_max=3, max_field_bits=5),
+    "many_cells": dict(p_values=(2, 3, 5, 7), f_max=2, e_max=3, d_max=3, t_with_p=True,
+                       max_field_bits=6),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(FAILURE_GRIDS))
+def test_record_failures_keeps_exactly_the_failing_rows(monkeypatch, made_pools, grid):
+    """A verifier that rejects every seventh row makes real failures in
+    many cells and chunks; the in-process pool lets the patch reach the
+    workers."""
+    _pin_cpus(monkeypatch, 64)
+    config = dict(FAILURE_GRIDS[grid], thetas_per_cell=3, seed=9)
+    cells = iter_cells(SweepConfig(**config))
+    assert (len(cells) < 3 * sweep.CHUNKS_PER_WORKER) == (grid == "few_cells")
+    all_rows = run_sweep(SweepConfig(**config))["instances"]
+    failing = [r["id"] for r in all_rows[1::7]]
+    verify = sweep.verify_certificate
+
+    def rejecting(doc):
+        shape = LocalFieldShape(*(int(doc["shape"][k]) for k in "pfedt"))
+        row_id = f"{shape.key},b={doc['theta_bar']['b']}"
+        return (False, [f"rejected {row_id}"]) if row_id in failing else verify(doc)
+
+    chunks = []
+    run_chunk = sweep._run_chunk
+
+    def recording(chunk, config):
+        chunks.append([shape.key for shape in chunk])
+        return run_chunk(chunk, config)
+
+    monkeypatch.setattr(sweep, "verify_certificate", rejecting)
+    monkeypatch.setattr(sweep, "_run_chunk", recording)
+    reports = [dumps(run_sweep(SweepConfig(jobs=jobs, record="failures", **config)))
+               for jobs in (1, 3)]
+    assert made_pools == [3]
+    assert reports[0] == reports[1]
+    report = json.loads(reports[1])
+    assert [(r["id"], r["pass"], r["violations"]) for r in report["instances"]] == [
+        (row_id, False, [f"rejected {row_id}"]) for row_id in failing]
+    assert report["totals"] == {"instances": len(all_rows),
+                                "passed": len(all_rows) - len(failing),
+                                "failed": len(failing)}
+    # one in-process chunk for jobs=1, then the pool's contiguous chunks
+    pool_chunks = chunks[1:]
+    assert chunks[0] == [key for chunk in pool_chunks for key in chunk]
+    assert len(pool_chunks) <= 3 * sweep.CHUNKS_PER_WORKER
+    chunk_of = {key: i for i, chunk in enumerate(pool_chunks) for key in chunk}
+    failing_cells = {row_id.rsplit(",b=", 1)[0] for row_id in failing}
+    assert len(failing_cells) >= 5
+    assert len({chunk_of[key] for key in failing_cells}) >= 5
+
+
+@pytest.mark.parametrize("thetas_per_cell", [None, 5])
+def test_chunks_hold_about_equal_instance_counts(thetas_per_cell):
+    """On the benchmark's grid, whose largest fields come last, every chunk
+    stays within one cell of an equal share of the instances."""
+    config = SweepConfig(p_values=tuple(p for p in range(2, 128) if is_prime(p)), f_max=10,
+                         e_max=3, d_max=10, t_with_p=True, thetas_per_cell=thetas_per_cell,
+                         max_field_bits=7)
+    cells = iter_cells(config)
+    sizes = {c.key: min(c.p ** (c.f * c.d) - 1, thetas_per_cell or 10 ** 6) for c in cells}
+    for n in (1, 2, 32, 1000):
+        chunks = sweep._chunks(cells, config, n)
+        assert all(chunks) and len(chunks) <= n
+        assert [c for chunk in chunks for c in chunk] == cells
+        counts = [sum(sizes[c.key] for c in chunk) for chunk in chunks]
+        assert max(counts) <= sum(sizes.values()) / n + max(sizes.values())

@@ -201,6 +201,28 @@ class TestVerifyAssignment:
         ok, violations = verify_assignment(AssignmentMatrix(inst, [[1, 0]]))
         assert not ok
 
+    @pytest.mark.parametrize("small", [0, 1, 3])
+    def test_magnitude_violations_match_a_full_scan(self, small):
+        """With and without entries of magnitude <= C, the magnitude
+        violations are those of a scan over every entry, listed last."""
+        rng = random.Random(small)
+        matrices = [([[-5, 5]], 5), ([[6, -6]], 5), ([[0, 1]], 0)]
+        for _ in range(300):
+            n, k, C = rng.randint(1, 5), rng.randint(2, 5), rng.randint(0, 50)
+            x = [[rng.choice((-1, 1)) * rng.randint(C + 1, C + 60) for _ in range(k)]
+                 for _ in range(n)]
+            for _ in range(small):
+                x[rng.randrange(n)][rng.randrange(k)] = rng.randint(-C, C)
+            matrices.append((x, C))
+        for x, C in matrices:
+            inst = TransportInstance(tuple(map(sum, x)), tuple(map(sum, zip(*x))), m=3, C=C)
+            ok, violations = verify_assignment(AssignmentMatrix(inst, x))
+            full_scan = [f"|x[{i}][{j}]| = {abs(v)} <= C = {C}"
+                         for i, row in enumerate(x) for j, v in enumerate(row) if abs(v) <= C]
+            assert [v for v in violations if v.startswith("|x[")] == full_scan
+            assert violations[len(violations) - len(full_scan):] == full_scan
+            assert ok == (not violations)
+
 
 def test_seeded_random_closure():
     rng = random.Random(7)
