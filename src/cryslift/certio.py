@@ -3,7 +3,10 @@
 All integers serialize as decimal strings so that consumers without
 big-integer support cannot silently lose precision.  The canonical
 embedding orderings documented in :mod:`cryslift.lifting` are part of
-this format.
+this format.  :func:`dumps` writes every document the package emits:
+its bytes are those of ``json.dumps(obj, indent=2, sort_keys=True)``
+plus a newline, written by a small recursive writer rather than json's
+pure-Python indenting encoder.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ REPORT_SCHEMA_ID = "sweep-report/v1"
 # 4300-digit limit of int() on strings, so that every schema-valid
 # certificate parses
 MAX_INT_STR_LEN = 4000
+# the integers whose decimal strings stay within MAX_INT_STR_LEN characters
+_INT_STR_MIN, _INT_STR_MAX = -10 ** (MAX_INT_STR_LEN - 1), 10 ** MAX_INT_STR_LEN
 # maxItems of every unit's factor list: the verifier sums the exponents
 # of a unit's factors, which costs quadratic time in their number when
 # the denominators are large
@@ -73,6 +78,16 @@ def certificate_from_json(obj: dict) -> LiftCertificate:
         checks=dict(obj["checks"]),
         hypotheses=dict(obj.get("hypotheses", {})),
     )
+
+
+def check_int_str_len(values, path: str) -> None:
+    """Refuse the first integer whose decimal string would be longer than
+    MAX_INT_STR_LEN characters, naming it as path[i], without formatting
+    it: str() refuses one past 4300 digits with a text that names nothing."""
+    for i, v in enumerate(values):
+        if not _INT_STR_MIN < v < _INT_STR_MAX:
+            raise CertificateError(f"{path}[{i}]: more than {MAX_INT_STR_LEN} characters "
+                                   "as a decimal string, past the wire format's limit")
 
 
 def validate_certificate_schema(obj: dict) -> None:
@@ -233,5 +248,57 @@ def _check_report(obj) -> None:
             raise _Violation(f"totals.{key}", "expected an integer")
 
 
+# json's own string encoder, the C one where the interpreter has it; with
+# indent=2, json.dumps runs its pure-Python encoder, which calls it per string
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    in about half the time on certificates, whose integer-string lists it
+    joins in one call.  It takes a stack frame or two per level of nesting,
+    so a value nested deeper than about half the recursion limit, or one
+    that contains itself, raises RecursionError (json gets twice as deep,
+    and raises ValueError on a cycle)."""
+    return _write(obj, "\n") + "\n"
+
+
+def _write(obj, nl: str) -> str:
+    """obj as json writes it at the depth whose line break and indent is nl.
+    No value is both a container and a scalar, so the containers can go
+    first; json's order matters only among the literals and int."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        try:
+            return "{" + inner + ("," + inner).join([
+                _encode_str(k) + ": " + (_encode_str(v) if isinstance(v, str)
+                                         else _write(v, inner))
+                for k, v in sorted(obj.items())]) + nl + "}"
+        except TypeError:
+            # a key that is not a string, which json converts (or refuses)
+            # after sorting; or a value json refuses, which it then raises
+            return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        if isinstance(obj[0], str):
+            try:  # a list of strings, such as weights and psi.a, in one join
+                return "[" + inner + ("," + inner).join(map(_encode_str, obj)) + nl + "]"
+            except TypeError:
+                pass
+        return "[" + inner + ("," + inner).join([_write(v, inner) for v in obj]) + nl + "]"
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    # floats (NaN and the infinities too), and json's TypeError for the rest
+    return json.dumps(obj)

@@ -32,6 +32,11 @@ EXIT_INTERNAL = 4
 # with int64 arrays of M entries, about 160 MB and 1-2 s per b at the limit.
 INDUCTION_M_MAX = 2 ** 22
 
+# Most integers that the ranges of `cryslift sweep --p-values` may span: each
+# is tested for primality before any cell runs, about 0.5 s for 2^16
+# integers near 2^64 and 0.1 s below 2^16.
+P_RANGE_MAX = 2 ** 16
+
 
 def _emit(obj: dict) -> None:
     sys.stdout.write(certio.dumps(obj))
@@ -43,12 +48,19 @@ def _int_list(text: str) -> list[int]:
 
 def _p_values(text: str, cap: int) -> list[int]:
     """Comma-separated primes, where LO-HI stands for every prime in [LO, HI]
-    up to cap: a larger prime has no cell, since every cell has p <= cap."""
+    up to cap: a larger prime has no cell, since every cell has p <= cap.
+    The ranges may span at most P_RANGE_MAX integers together."""
     ps: list[int] = []
+    spanned = 0
     for part in text.split(","):
         lo, dash, hi = part.strip().partition("-")
         if dash and lo:
-            ps.extend(p for p in range(int(lo), min(int(hi), cap) + 1) if is_prime(p))
+            lo, hi = int(lo), min(int(hi), cap)
+            spanned += max(hi - lo + 1, 0)
+            if spanned > P_RANGE_MAX:
+                raise ValueError(f"--p-values ranges span more than {P_RANGE_MAX} "
+                                 "integers up to 2^max-field-bits")
+            ps.extend(p for p in range(lo, hi + 1) if is_prime(p))
         elif part.strip():
             ps.append(int(part))
     return ps
@@ -87,6 +99,8 @@ def _emit_matrix(sol: AssignmentMatrix) -> int:
     ok, violations = verify_assignment(sol)
     if not ok:
         raise AssertionError(f"solver output failed self-check: {violations}")
+    for i, row in enumerate(sol.entries):
+        certio.check_int_str_len(row, f"matrix[{i}]")
     _emit({"matrix": [[str(v) for v in row] for row in sol.entries]})
     return EXIT_OK
 
@@ -107,7 +121,12 @@ def cmd_lift(args: argparse.Namespace) -> int:
     shape = _shape(args)
     theta_bar = MultChar(shape.residue_field_E, args.theta_bar)
     psi = DetSpec(tuple(_int_list(args.a)), UnitExpr.symbol("psi(varpi_F)"))
-    doc = certio.certificate_to_json(irr_crys_lift(theta_bar, psi, shape))
+    cert = irr_crys_lift(theta_bar, psi, shape)
+    # a certificate outside its own wire format is refused (exit 2), not
+    # emitted: first a weight that str() would refuse, then the schema
+    certio.check_int_str_len(cert.weights, "weights")
+    doc = certio.certificate_to_json(cert)
+    certio.validate_certificate_schema(doc)
     ok, violations = verify.verify_certificate(doc)
     doc["self_check"] = "pass" if ok else "fail"
     if not ok:

@@ -61,7 +61,9 @@ class LocalFieldShape:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}={getattr(self, name)} must be >= 1")
         if self.t % (self.q - 1) != 0:
-            raise ValueError(f"t={self.t} is not a multiple of q-1={self.q - 1}")
+            # str() refuses an int past 4300 digits, so a large q-1 is named
+            q1 = self.q - 1 if self.q.bit_length() <= 64 else f"{self.p}^{self.f}-1"
+            raise ValueError(f"t={self.t} is not a multiple of q-1={q1}")
 
     @property
     def q(self) -> int:

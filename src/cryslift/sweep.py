@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .certio import REPORT_SCHEMA_ID, certificate_to_json
@@ -176,6 +175,9 @@ def run_sweep(config: SweepConfig) -> dict:
             else os.cpu_count() or 1)
     jobs = min(config.jobs, len(cells), cpus)
     if jobs > 1:
+        # imported here, so that no other command pays for multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = _chunks(cells, config, jobs * CHUNKS_PER_WORKER)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_chunk, chunks, [config] * len(chunks)))

@@ -1,15 +1,19 @@
 import copy
+import dataclasses
 import json
 import re
 import shlex
 import time
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from cryslift import cli
 from cryslift.cli import main
+from cryslift.lifting import DetSpec, irr_crys_lift
 from cryslift.transport import AssignmentMatrix, TransportInstance, verify_assignment
+from cryslift.units import UnitExpr
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +103,58 @@ def test_lift_wrong_exponent_count_exit_2(capsys):
     )
     assert code == 2
     assert doc["kind"] == "bad-input" and "expected |Sigma_F| = 1" in doc["error"]
+
+
+LIFT_ARGV = ["lift", "--p", "3", "--f", "1", "--e", "1", "--d", "2", "--t", "2",
+             "--theta-bar", "5", "--a", "3"]
+
+
+def _patch_lift(monkeypatch, **changes):
+    """Makes the builder return its certificate for LIFT_ARGV with changes."""
+    def lift(theta_bar, psi, shape):
+        return dataclasses.replace(irr_crys_lift(theta_bar, psi, shape), **changes)
+
+    monkeypatch.setattr(cli, "irr_crys_lift", lift)
+
+
+@pytest.mark.parametrize("weight", [10 ** 4000, -(10 ** 3999), 10 ** 5000],
+                         ids=["4001-digits", "4001-chars-negative", "past-str-limit"])
+def test_lift_refuses_weight_past_wire_format(capsys, monkeypatch, weight):
+    """A weight the schema would refuse is refused before it is formatted,
+    even one past the 4300 digits that str() takes."""
+    _patch_lift(monkeypatch, weights=(2, weight))
+    code, doc = run_cli(capsys, *LIFT_ARGV)
+    assert code == 2
+    assert doc == {"kind": "bad-input", "error": "weights[1]: more than 4000 characters "
+                   "as a decimal string, past the wire format's limit"}
+
+
+def test_lift_runs_schema_check_before_emitting(capsys, monkeypatch):
+    _patch_lift(monkeypatch, psi=DetSpec((10 ** 4000,), UnitExpr.symbol("psi(varpi_F)")))
+    code, doc = run_cli(capsys, *LIFT_ARGV)
+    assert code == 2 and doc["kind"] == "bad-input"
+    assert doc["error"].startswith("certificate schema violation at psi.a[0]: ")
+
+
+def test_regular_refuses_entry_past_wire_format(capsys, monkeypatch):
+    """A matrix entry past 4000 characters exits 2 naming it, in place of
+    str()'s own 4300-digit error."""
+    big = 10 ** 5000
+    sol = AssignmentMatrix(TransportInstance((big,), (0, 0), 1, 0), [[big + 1, -1]])
+    assert verify_assignment(sol)[0]
+    monkeypatch.setattr(cli, "regular_transport", lambda a, b, m, C: sol)
+    code, doc = run_cli(capsys, "regular", "--a", "0", "--b", "0,0", "--m", "1")
+    assert code == 2
+    assert doc == {"kind": "bad-input", "error": "matrix[0][0]: more than 4000 characters "
+                   "as a decimal string, past the wire format's limit"}
+
+
+def test_lift_names_large_q_minus_1(capsys):
+    # q - 1 = 2^100000 - 1 has 30,103 digits, past what str() formats
+    code, doc = run_cli(capsys, "lift", "--p", "2", "--f", "100000", "--e", "1", "--d", "1",
+                        "--t", "1", "--theta-bar", "0", "--a", "0")
+    assert code == 2
+    assert doc == {"kind": "bad-input", "error": "t=1 is not a multiple of q-1=2^100000-1"}
 
 
 def test_verify_round_trip(capsys, tmp_path):
@@ -317,6 +373,16 @@ def test_sweep_prime_range_stops_at_field_cap(capsys, tmp_path):
     assert json.loads(out.read_text())["config"]["p_values"] == [2, 3, 5, 7, 11, 13]
 
 
+@pytest.mark.parametrize("text", ["2-100000000000", "2-40000,50000-90000"])
+def test_sweep_prime_ranges_past_limit_exit_2(capsys, text):
+    started = time.perf_counter()
+    code, doc = run_cli(capsys, "sweep", "--p-values", text, "--max-field-bits", "40")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert doc == {"kind": "bad-input", "error": "--p-values ranges span more than 65536 "
+                   "integers up to 2^max-field-bits"}
+
+
 @pytest.mark.parametrize("text", ["24-28", "4", "-3"])
 def test_sweep_range_without_primes_exit_2(capsys, text):
     code, _ = run_cli(capsys, "sweep", "--p-values", text)
@@ -394,3 +460,21 @@ def test_readme_cli_examples_exit_0(capsys, tmp_path, monkeypatch):
         if argv[1] == "lift":
             Path(cert).write_text(out)
     assert json.loads(Path("report.json").read_text())["totals"]["failed"] == 0
+
+
+def test_readme_lift_and_regular_documents_pass_their_checks(capsys, tmp_path):
+    """The README's lift certificate passes `cryslift verify`; its regular
+    matrix holds only integer strings the certificate schema accepts."""
+    commands = {argv[1]: argv[1:] for argv in _readme_cli_commands()}
+    code, cert = run_cli(capsys, *commands["lift"])
+    assert code == 0
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert run_cli(capsys, "verify", str(path)) == (0, {"pass": True, "violations": []})
+    code, doc = run_cli(capsys, *commands["regular"])
+    assert code == 0
+    schema = json.loads((Path(cli.__file__).parent / "schemas" /
+                         "certificate.schema.json").read_text())
+    int_str = schema["definitions"]["int"]
+    jsonschema.validate(doc["matrix"], {"type": "array", "minItems": 1, "items": {
+        "type": "array", "minItems": 1, "items": int_str}})

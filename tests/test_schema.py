@@ -20,6 +20,7 @@ import cryslift
 from cryslift.certio import (
     MAX_INT_STR_LEN,
     certificate_to_json,
+    check_int_str_len,
     validate_certificate_schema,
     validate_report_schema,
 )
@@ -276,10 +277,38 @@ def test_violation_names_json_path():
         validate_report_schema(_set(REPORTS[0], ("totals", "failed"), "0"))
 
 
-def test_import_loads_neither_numpy_nor_jsonschema():
+@pytest.mark.parametrize("value", [0, -7, 10 ** 4000 - 1, 10 ** 4000, -(10 ** 3999 - 1),
+                                   -(10 ** 3999), 10 ** 5000, -(10 ** 5000)],
+                         ids=["0", "-7", "4000-digits", "10^4000", "-3999-digits", "-10^3999",
+                              "10^5000", "-10^5000"])
+def test_check_int_str_len_matches_schema_limit(value):
+    """Accepts exactly the integers whose decimal strings the schema's
+    maxLength admits; 10^5000 is past what str() formats at all."""
+    fits = abs(value) < 10 ** 4300 and len(str(value)) <= MAX_INT_STR_LEN
+    try:
+        check_int_str_len([1, value], "weights")
+    except CertificateError as exc:
+        assert not fits
+        assert str(exc).startswith("weights[1]: more than 4000 characters")
+    else:
+        assert fits
+
+
+def _loaded_by_import(*names):
+    """Those of names that `import cryslift, cryslift.cli` loads in a fresh
+    interpreter."""
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import cryslift, cryslift.cli; "
-            "print(sorted({'numpy', 'jsonschema'} & set(sys.modules)))")
+            "print(' '.join(sorted(set(sys.argv[2:]) & set(sys.modules))))")
     src = str(Path(cryslift.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code, src, *names], capture_output=True,
                          text=True, check=True, timeout=120).stdout
-    assert out.strip() == "[]"
+    return out.split()
+
+
+def test_import_loads_neither_numpy_nor_jsonschema():
+    assert _loaded_by_import("numpy", "jsonschema") == []
+
+
+def test_import_loads_no_process_pool():
+    """Only run_sweep starts a pool, so only it pays for importing one."""
+    assert _loaded_by_import("multiprocessing", "concurrent.futures.process") == []

@@ -7,6 +7,7 @@ was cut down; any drift in weights, units, recorded checks or the order
 of the sweep's random draws changes them.
 """
 
+import concurrent.futures
 import hashlib
 import json
 import random
@@ -126,7 +127,8 @@ def test_iter_cells_stops_at_cap():
 @pytest.fixture
 def made_pools(monkeypatch):
     """Replaces ProcessPoolExecutor with an in-process pool, so that no test
-    forks a process, and lists the max_workers of each pool made."""
+    forks a process, and lists the max_workers of each pool made.  run_sweep
+    imports the executor from concurrent.futures when it starts a pool."""
     made = []
 
     class FakePool:
@@ -142,7 +144,7 @@ def made_pools(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     return made
 
 
