@@ -446,7 +446,12 @@ def _readme_cli_commands():
 
 def test_readme_cli_examples_exit_0(capsys, tmp_path, monkeypatch):
     """Every command of the README's CLI block runs as written; verify reads
-    the certificate that the lift line printed."""
+    the certificate that the lift line printed, and the regular line's
+    matrix holds only integer strings that the certificate schema accepts."""
+    schema = json.loads((Path(cli.__file__).parent / "schemas" /
+                         "certificate.schema.json").read_text())
+    int_matrix = {"type": "array", "minItems": 1, "items": {
+        "type": "array", "minItems": 1, "items": schema["definitions"]["int"]}}
     monkeypatch.chdir(tmp_path)
     commands = _readme_cli_commands()
     assert [argv[1] for argv in commands] == [
@@ -459,22 +464,7 @@ def test_readme_cli_examples_exit_0(capsys, tmp_path, monkeypatch):
         assert code == 0, (argv, out)
         if argv[1] == "lift":
             Path(cert).write_text(out)
+        elif argv[1] == "regular":
+            jsonschema.validate(json.loads(out)["matrix"], int_matrix)
     assert json.loads(Path("report.json").read_text())["totals"]["failed"] == 0
 
-
-def test_readme_lift_and_regular_documents_pass_their_checks(capsys, tmp_path):
-    """The README's lift certificate passes `cryslift verify`; its regular
-    matrix holds only integer strings the certificate schema accepts."""
-    commands = {argv[1]: argv[1:] for argv in _readme_cli_commands()}
-    code, cert = run_cli(capsys, *commands["lift"])
-    assert code == 0
-    path = tmp_path / "cert.json"
-    path.write_text(json.dumps(cert))
-    assert run_cli(capsys, "verify", str(path)) == (0, {"pass": True, "violations": []})
-    code, doc = run_cli(capsys, *commands["regular"])
-    assert code == 0
-    schema = json.loads((Path(cli.__file__).parent / "schemas" /
-                         "certificate.schema.json").read_text())
-    int_str = schema["definitions"]["int"]
-    jsonschema.validate(doc["matrix"], {"type": "array", "minItems": 1, "items": {
-        "type": "array", "minItems": 1, "items": int_str}})
