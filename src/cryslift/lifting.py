@@ -60,14 +60,13 @@ class LocalFieldShape:
         for name in ("f", "e", "d", "t"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}={getattr(self, name)} must be >= 1")
-        if self.t % (self.q - 1) != 0:
+        # q = p^f >= 2^lo: bit lengths refuse t < q-1 before a large q is computed
+        lo = self.f * (self.p.bit_length() - 1)
+        q = self.p ** self.f if lo <= max(63, self.t.bit_length()) else None
+        if q is None or self.t % (q - 1) != 0:
             # str() refuses an int past 4300 digits, so a large q-1 is named
-            q1 = self.q - 1 if self.q.bit_length() <= 64 else f"{self.p}^{self.f}-1"
+            q1 = q - 1 if q is not None and q.bit_length() <= 64 else f"{self.p}^{self.f}-1"
             raise ValueError(f"t={self.t} is not a multiple of q-1={q1}")
-
-    @property
-    def q(self) -> int:
-        return self.p ** self.f
 
     @property
     def residue_field_E(self) -> FiniteFieldSpec:
@@ -193,7 +192,7 @@ def _build_weights(b: tuple[int, ...], a: tuple[int, ...],
         assert ok, f"solver output failed its own checker: {violations}"
         for row in sol.entries:
             k.extend(row)
-        C = max(map(abs, k))
+        C = max(map(abs, k[shape.E_block(i0)]))  # the block lies above the last C
     return tuple(k)
 
 

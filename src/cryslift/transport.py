@@ -12,11 +12,10 @@ Two solvers:
   base + m*y: the base is the exact :func:`transport` solution for column
   targets congruent to b, and y is a vector of offsets summing to zero,
   so row sums stay exact and column sums stay in their classes mod m.
-  The offsets are spaced far enough apart to make the row distinct and
-  start high enough to put every entry above the previous row's largest
-  (C for the first row), which gives global distinctness and block
-  separation.  Magnitudes grow additively from row to row for an even
-  number of columns and by about a factor 2 per row for an odd number.
+  The offsets of all rows are distinct slots of one progression, spaced
+  to keep the whole matrix distinct and starting high enough to put every
+  entry above C.  Magnitudes grow additively in the rows, and at most
+  double per call.
 
 Both are deterministic closed forms, with no search.
 """
@@ -116,34 +115,35 @@ def regular_transport(a: list[int], b: list[int], m: int, C: int) -> AssignmentM
     """Distinct-entry transportation: exact row sums, column sums mod m.
 
     Entries are pairwise distinct across the whole matrix and satisfy
-    |x_ij| > C; moreover max|row i| < min|row i+1| (block separation).
-
-    Row i is base_i + m*y_i.  With P the previous row's largest |entry|
-    (C for the first row) and B = max|base_i|, the stride s = 2B//m + 1
-    makes m*s > 2B, so offsets s apart keep the entries distinct, and
-    T = (P + B)//m + 1 makes m*T - B > P.  A base row that is already
-    distinct and above P is kept (y = 0).  Each entry is at most
-    (1 + [k odd])*P + k*(2B + m) in magnitude.
+    |x_ij| > C.  Row i is base_i + m*y_i, its offsets y_i the slots
+    i*w .. i*w + w - 1 (w = (k+1)//2) of one progression T, T + s, ...
+    With B = max|base|, s = 2B//m + 1 makes m*s > 2B, so offsets s apart
+    keep entries distinct.  Only the last base row lacks k-1 zeros; it is
+    kept (y = 0) when distinct and above C.  T = (P + B)//m + 1, with P
+    its largest |entry| if kept and C if not, makes m*T - B > P.  For odd
+    k, T >= s*w*(n-1) puts every closing offset -(2U + s) beyond the pair
+    lane.  So |x_ij| <= 2*max(C, B) + (2n(k+1) + 3)*(2B + m): additive in
+    the rows, at most a factor 2 over C per call.
     """
     inst = TransportInstance(tuple(a), tuple(b), m, C)
-    k = len(b)
+    n, k = len(a), len(b)
 
     # Exact column targets congruent to b: keep b_j for j < k-1, dump the
     # correction into the last column (stays in its residue class mod m).
     b_prime = list(b[:-1]) + [sum(a) - sum(b[:-1])]
-    rows: list[list[int]] = []
-    P = C
-    for base in transport(a, b_prime).entries:
-        if _all_distinct(base) and min(map(abs, base)) > P:
-            row = base
-        else:
-            B = max(map(abs, base))
-            s = 2 * B // m + 1
-            T = (P + B) // m + 1
-            row = [x + m * o for x, o in zip(base, _offsets(k, T, s))]
-        rows.append(row)
-        P = max(map(abs, row))
-    return AssignmentMatrix(inst, rows)
+    rows = transport(a, b_prime).entries
+    last = rows[-1]
+    kept = _all_distinct(last) and min(map(abs, last)) > C
+    B = max(max(map(abs, row)) for row in rows)
+    s, w = 2 * B // m + 1, (k + 1) // 2
+    T = ((max(map(abs, last)) if kept else C) + B) // m + 1
+    if k % 2:
+        T = max(T, s * w * (n - 1))
+    entries = [[x + m * o for x, o in zip(base, _offsets(k, T + s * w * i, s))]
+               for i, base in enumerate(rows[:-1] if kept else rows)]
+    if kept:
+        entries.append(last)
+    return AssignmentMatrix(inst, entries)
 
 
 def verify_assignment(M: AssignmentMatrix) -> tuple[bool, list[str]]:

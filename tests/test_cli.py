@@ -55,26 +55,27 @@ def test_regular(capsys):
 
 
 def test_regular_offsets_then_kept_row(capsys):
-    """Row 0 gets offsets +-1; row 1's base is distinct and above row 0, so
-    it is kept as is."""
+    """Row 1's base is distinct and above C, so it is kept as is; row 0's
+    offsets +-121 start above its largest entry."""
     code, doc = run_cli(capsys, "regular", "--a", "0,100", "--b", "60,40", "--m", "1")
     assert code == 0
-    assert doc == {"matrix": [["1", "-1"], ["60", "40"]]}
+    assert doc == {"matrix": [["121", "-121"], ["60", "40"]]}
 
 
 def test_regular_5000_rows(capsys):
-    """Weights stay small enough to print: a row-by-row growth factor
-    would pass the 4300-digit str(int) limit long before 5000 rows."""
-    a, b = [1] * 5000, [0] * 11 + [2]
-    code, doc = run_cli(
-        capsys, "regular", "--a", ",".join(map(str, a)),
-        "--b", ",".join(map(str, b)), "--m", "3", "--C", "5",
-    )
-    assert code == 0, doc
-    entries = [[int(v) for v in row] for row in doc["matrix"]]
-    sol = AssignmentMatrix(TransportInstance(tuple(a), tuple(b), 3, 5), entries)
-    ok, violations = verify_assignment(sol)
-    assert ok, violations[:5]
+    """Weights stay small enough to print for 5000 rows of 12 columns and
+    15,000 rows of 3: a row-by-row growth factor would pass the wire
+    format's 4000 characters long before."""
+    for a, b in [([1] * 5000, [0] * 11 + [2]), ([1] * 15000, [0, 0, 0])]:
+        code, doc = run_cli(
+            capsys, "regular", "--a", ",".join(map(str, a)),
+            "--b", ",".join(map(str, b)), "--m", "3", "--C", "5",
+        )
+        assert code == 0, doc
+        entries = [[int(v) for v in row] for row in doc["matrix"]]
+        sol = AssignmentMatrix(TransportInstance(tuple(a), tuple(b), 3, 5), entries)
+        ok, violations = verify_assignment(sol)
+        assert ok, violations[:5]
 
 
 def test_lift_self_check(capsys):
@@ -150,23 +151,32 @@ def test_regular_refuses_entry_past_wire_format(capsys, monkeypatch):
 
 
 def test_lift_names_large_q_minus_1(capsys):
-    # q - 1 = 2^100000 - 1 has 30,103 digits, past what str() formats
-    code, doc = run_cli(capsys, "lift", "--p", "2", "--f", "100000", "--e", "1", "--d", "1",
-                        "--t", "1", "--theta-bar", "0", "--a", "0")
-    assert code == 2
-    assert doc == {"kind": "bad-input", "error": "t=1 is not a multiple of q-1=2^100000-1"}
+    """q - 1 = 2^100000 - 1 has 30,103 digits, past what str() formats, and
+    3^10000000 - 1 is refused by bit lengths before it is computed."""
+    for p, f in [("2", "100000"), ("3", "10000000")]:
+        started = time.perf_counter()
+        code, doc = run_cli(capsys, "lift", "--p", p, "--f", f, "--e", "1", "--d", "1",
+                            "--t", "1", "--theta-bar", "0", "--a", "0")
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert doc == {"kind": "bad-input", "error": f"t=1 is not a multiple of q-1={p}^{f}-1"}
+
+
+# e = 14,000 rows of odd d = 3: weights that doubled per row once passed
+# the wire format's 4000 characters
+WIDE_LIFT_ARGV = ["lift", "--p", "3", "--f", "1", "--e", "14000", "--d", "3", "--t", "2",
+                  "--theta-bar", "0", "--a", ",".join(["0"] * 14000)]
 
 
 def test_verify_round_trip(capsys, tmp_path):
-    code, doc = run_cli(
-        capsys, "lift", "--p", "3", "--f", "1", "--e", "1", "--d", "2",
-        "--t", "2", "--theta-bar", "5", "--a", "3",
-    )
-    path = tmp_path / "cert.json"
-    path.write_text(json.dumps(doc))
-    code, result = run_cli(capsys, "verify", str(path))
-    assert code == 0
-    assert result["pass"]
+    for argv in (LIFT_ARGV, WIDE_LIFT_ARGV):
+        code, doc = run_cli(capsys, *argv)
+        assert code == 0 and doc["self_check"] == "pass", argv[:10]
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, result = run_cli(capsys, "verify", str(path))
+        assert code == 0
+        assert result["pass"]
 
 
 def test_verify_mutated_exit_3(capsys, tmp_path):

@@ -2,9 +2,11 @@
 digit expansion per instance, its grid, its worker count and the rows
 that record="failures" keeps.
 
-The pinned digests were recorded before the sweep's per-certificate work
-was cut down; any drift in weights, units, recorded checks or the order
-of the sweep's random draws changes them.
+The sweep digest predates the cut in the sweep's per-certificate work.
+The certificate digest pins, for the shapes with e >= 2 and d >= 2, the
+weights of regular transport's one offset progression per i0-block.  Any
+drift in weights, units, recorded checks or the order of the sweep's
+random draws changes them.
 """
 
 import concurrent.futures
@@ -26,7 +28,7 @@ from cryslift.units import UnitExpr
 PIN_SHAPES = [(2, 1, 1, 1), (3, 2, 2, 1), (5, 1, 3, 1), (2, 1, 2, 3), (3, 2, 1, 3),
               (7, 1, 2, 3), (3, 1, 1, 2), (2, 2, 2, 2), (5, 2, 1, 2), (3, 1, 2, 4),
               (2, 3, 1, 2), (2, 1, 1, 5)]
-CERT_DIGEST = "0a774c30cc6409635c47c934a8af848ecd040d89421290cbf9ad0f25ff5972f4"
+CERT_DIGEST = "f4cd0cb636f4aa59b2f3c26c2e038f75c8c18171723f0c98f8584d0428351cc0"
 SWEEP_CONFIG = dict(p_values=(2, 3, 5), f_max=2, e_max=2, d_max=3, t_with_p=True,
                     thetas_per_cell=6, seed=5, max_field_bits=8, record="all")
 SWEEP_DIGEST = "46da6b9150b754b058cd6280c7e82fe455d2360bf098c8dbdb2131a20c922946"
