@@ -46,10 +46,10 @@ def certificate_to_json(cert: LiftCertificate) -> dict:
         },
         "theta_bar": {"b": str(cert.theta_bar.b)},
         "psi": {
-            "a": [str(v) for v in cert.psi.a],
+            "a": list(map(str, cert.psi.a)),
             "uniformizer": cert.psi.uniformizer.to_json(),
         },
-        "weights": [str(v) for v in cert.weights],
+        "weights": list(map(str, cert.weights)),
         "theta_uniformizer": cert.theta_uniformizer.to_json(),
         "checks": dict(cert.checks),
         "hypotheses": dict(cert.hypotheses),

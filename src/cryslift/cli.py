@@ -140,6 +140,8 @@ def cmd_induction(args: argparse.Namespace) -> int:
     # q >= 2, so a d at or past the limit's bit length puts M above it
     if model.d >= INDUCTION_M_MAX.bit_length() or model.M > INDUCTION_M_MAX:
         raise ValueError(f"M = q^d - 1 must be at most {INDUCTION_M_MAX}")
+    if args.samples < 1:
+        raise ValueError("--samples must be >= 1")
     if args.b is not None:
         reports = [verify_det_induction(model, args.b)]
     else:

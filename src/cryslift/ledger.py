@@ -142,8 +142,9 @@ def twist_shout(
     t = shape.t
     if rho_weights.dim != d or rho_x_weights.dim != d:
         raise ValueError(f"both profiles must have dimension d={d}")
-    if len(rho_weights.weights) != len(rho_x_weights.weights):
-        raise ValueError("profiles indexed by different embedding sets")
+    n = shape.size_F
+    if len(rho_weights.weights) != n or len(rho_x_weights.weights) != n:
+        raise ValueError(f"both profiles must have |Sigma_F| = e*f = {n} embeddings")
     dt = d * t
     for s, (t1, t2) in enumerate(zip(rho_weights.weights, rho_x_weights.weights)):
         for i, (w1, w2) in enumerate(zip(t1, t2)):

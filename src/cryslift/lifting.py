@@ -17,9 +17,9 @@ These orderings are part of the certificate wire format, and they make
 every block and fibre a slice: the i0-block of psi.a is a[i0*e:(i0+1)*e],
 the J-block of theta_bar's digits is b[i0::f], the Sigma_F fibre of s is
 the contiguous slice k[s*d:(s+1)*d] of the Sigma_E-indexed weights, and
-the Sigma_E0 fibre of j = i0 + f*l is the stride-d slice
-k[i0*e*d + l:(i0+1)*e*d:d].  LocalFieldShape's slice methods are the
-builder's only implementation of this order.
+the Sigma_E0 fibre of j = i0 + f*l is column l of the Sigma_F fibres
+above i0, the stride-d slice k[i0*e*d + l:(i0+1)*e*d:d].  LocalFieldShape's
+slice methods are the builder's only implementation of this order.
 
 The weight construction solves, per i0-block, a distinct-entry
 transportation problem: rows are the e embeddings of F above i0 with
@@ -104,14 +104,12 @@ class LocalFieldShape:
         w = self.e * self.d
         return slice(i0 * w, (i0 + 1) * w)
 
-    def F_fibre(self, s: int) -> slice:
-        """Sigma_E indices above the Sigma_F index s."""
-        return slice(s * self.d, (s + 1) * self.d)
-
-    def E0_fibre(self, j: int) -> slice:
-        """Sigma_E indices above the Sigma_E0 index j = i0 + f*l."""
-        i0, w = j % self.f, self.e * self.d
-        return slice(i0 * w + j // self.f, (i0 + 1) * w, self.d)
+    def F_fibres(self, k: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The Sigma_F fibres of the Sigma_E-indexed k: fibre s is
+        k[s*d:(s+1)*d].  Column l of the fibres in F_block(i0) is the
+        Sigma_E0 fibre of i0 + f*l."""
+        d = self.d
+        return [k[i:i + d] for i in range(0, self.size_E, d)]
 
 
 @dataclass(frozen=True)
@@ -204,16 +202,13 @@ def induce_weights(
     Each fibre is sorted descending; the induced representation has
     regular weights iff every fibre has d distinct values.
     """
-    fibres = [
-        tuple(sorted(k[shape.F_fibre(s)], reverse=True))
-        for s in range(shape.size_F)
-    ]
+    fibres = [tuple(sorted(fib, reverse=True)) for fib in shape.F_fibres(k)]
     regular = all(len(set(fib)) == shape.d for fib in fibres)
     return fibres, regular
 
 
 def _block_separation_holds(k: tuple[int, ...], shape: LocalFieldShape) -> bool:
-    blocks = [[abs(v) for v in k[shape.E_block(i0)]] for i0 in range(shape.f)]
+    blocks = [list(map(abs, k[shape.E_block(i0)])) for i0 in range(shape.f)]
     return all(max(lo) < min(hi) for lo, hi in zip(blocks, blocks[1:]))
 
 
@@ -239,18 +234,21 @@ def _lift(theta_bar: MultChar, b: tuple[int, ...], psi: DetSpec,
     d = shape.d
     theta_unif = psi.uniformizer if d % 2 == 1 else psi.uniformizer.negate()
 
-    # recorded identities, each recomputed here from the raw data
-    row_sums_exact = all(
-        sum(k[shape.F_fibre(s)]) == psi.a[s] for s in range(shape.size_F)
-    )
+    # recorded identities, each recomputed here from the raw data, one
+    # pass over the Sigma_F fibres and one over the Sigma_E0 fibres
+    fibres = shape.F_fibres(k)
+    row_sums_exact = list(map(sum, fibres)) == list(psi.a)
     if d > 1:
+        m = shape.p - 1
         col_congruent = all(
-            (sum(k[shape.E0_fibre(j)]) - b[j]) % (shape.p - 1) == 0
-            for j in range(shape.size_E0)
+            (s - bj) % m == 0
+            for i0 in range(shape.f)
+            for s, bj in zip(map(sum, zip(*fibres[shape.F_block(i0)])), b[shape.J_block(i0)])
         )
         distinct = len(set(k)) == shape.size_E
         separation = _block_separation_holds(k, shape)
-        _, regular = induce_weights(k, shape)
+        # global distinctness implies distinctness inside every fibre
+        regular = distinct or all(len(set(fib)) == d for fib in fibres)
     else:
         col_congruent = distinct = separation = None
         regular = True

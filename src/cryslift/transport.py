@@ -23,6 +23,7 @@ Both are deterministic closed forms, with no search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InfeasibleError
 
@@ -77,26 +78,18 @@ class AssignmentMatrix:
     entries: list[list[int]]
 
 
+def _exact_rows(a: list[int], b: list[int]) -> list[list[int]]:
+    """Row i < n-1 places its whole total a_i in column 0; the last row is
+    whatever remains of b.  (Induction with lowest-index tie-breaks.)"""
+    last = list(b)
+    last[0] -= sum(a[:-1])
+    zeros = [0] * (len(b) - 1)
+    return [[x] + zeros for x in a[:-1]] + [last]
+
+
 def transport(a: list[int], b: list[int]) -> AssignmentMatrix:
-    """Exact transportation: row sums a, column sums b, sum(a) == sum(b).
-
-    Row i < n-1 places its whole total a_i in column 0; the last row is
-    whatever remains of b.  (Induction with lowest-index tie-breaks.)
-    """
-    inst = TransportInstance(tuple(a), tuple(b))
-    n, k = len(a), len(b)
-    rows: list[list[int]] = []
-    rem = list(b)
-    for i in range(n - 1):
-        row = [a[i]] + [0] * (k - 1)
-        rem[0] -= a[i]
-        rows.append(row)
-    rows.append(rem)
-    return AssignmentMatrix(inst, rows)
-
-
-def _all_distinct(xs: list[int]) -> bool:
-    return len(set(xs)) == len(xs)
+    """Exact transportation: row sums a, column sums b, sum(a) == sum(b)."""
+    return AssignmentMatrix(TransportInstance(tuple(a), tuple(b)), _exact_rows(a, b))
 
 
 def _offsets(k: int, T: int, s: int) -> list[int]:
@@ -130,13 +123,13 @@ def regular_transport(a: list[int], b: list[int], m: int, C: int) -> AssignmentM
 
     # Exact column targets congruent to b: keep b_j for j < k-1, dump the
     # correction into the last column (stays in its residue class mod m).
-    b_prime = list(b[:-1]) + [sum(a) - sum(b[:-1])]
-    rows = transport(a, b_prime).entries
+    rows = _exact_rows(a, list(b[:-1]) + [sum(a) - sum(b[:-1])])
     last = rows[-1]
-    kept = _all_distinct(last) and min(map(abs, last)) > C
-    B = max(max(map(abs, row)) for row in rows)
+    top = max(map(abs, last))
+    kept = len(set(last)) == k and min(map(abs, last)) > C
+    B = max(top, max(map(abs, a[:-1]), default=0))
     s, w = 2 * B // m + 1, (k + 1) // 2
-    T = ((max(map(abs, last)) if kept else C) + B) // m + 1
+    T = ((top if kept else C) + B) // m + 1
     if k % 2:
         T = max(T, s * w * (n - 1))
     entries = [[x + m * o for x, o in zip(base, _offsets(k, T + s * w * i, s))]
@@ -150,35 +143,29 @@ def verify_assignment(M: AssignmentMatrix) -> tuple[bool, list[str]]:
     """Check every mode-appropriate invariant; list each violation found."""
     inst = M.instance
     x = M.entries
-    violations: list[str] = []
     n, k = len(inst.a), len(inst.b)
-    if len(x) != n or any(len(r) != k for r in x):
+    if len(x) != n or set(map(len, x)) != {k}:
         return False, [f"shape mismatch: expected {n}x{k}"]
 
-    for i in range(n):
-        s = sum(x[i])
-        if s != inst.a[i]:
-            violations.append(f"row {i} sums to {s}, expected {inst.a[i]}")
-
+    # the texts are formatted only for a failing family, in scan order; the
+    # sums are lists, as tuple(map(...)) resizes and fills tuple free lists
+    violations: list[str] = []
+    rows, cols = list(map(sum, x)), list(map(sum, zip(*x)))
+    if rows != list(inst.a):
+        violations += [f"row {i} sums to {s}, expected {ai}"
+                       for i, (s, ai) in enumerate(zip(rows, inst.a)) if s != ai]
     if not inst.regular:
-        for j, col in enumerate(zip(*x)):
-            s = sum(col)
-            if s != inst.b[j]:
-                violations.append(f"column {j} sums to {s}, expected {inst.b[j]}")
-    else:
-        m = inst.m
-        for j, col in enumerate(zip(*x)):
-            s = sum(col)
-            if (s - inst.b[j]) % m != 0:
-                violations.append(
-                    f"column {j} sums to {s} !≡ {inst.b[j]} (mod {m})"
-                )
-        flat = [v for row in x for v in row]
-        if not _all_distinct(flat):
-            violations.append("entries are not pairwise distinct")
-        if min(map(abs, flat)) <= inst.C:
-            for i in range(n):
-                for j in range(k):
-                    if abs(x[i][j]) <= inst.C:
-                        violations.append(f"|x[{i}][{j}]| = {abs(x[i][j])} <= C = {inst.C}")
+        if cols != list(inst.b):
+            violations += [f"column {j} sums to {s}, expected {bj}"
+                           for j, (s, bj) in enumerate(zip(cols, inst.b)) if s != bj]
+        return (not violations), violations
+    m, C = inst.m, inst.C
+    violations += [f"column {j} sums to {s} !≡ {bj} (mod {m})"
+                   for j, (s, bj) in enumerate(zip(cols, inst.b)) if (s - bj) % m]
+    flat = list(chain.from_iterable(x))
+    if len(set(flat)) != n * k:
+        violations.append("entries are not pairwise distinct")
+    if min(map(abs, flat)) <= C:
+        violations += [f"|x[{i}][{j}]| = {abs(v)} <= C = {C}"
+                       for i, row in enumerate(x) for j, v in enumerate(row) if abs(v) <= C]
     return (not violations), violations

@@ -23,7 +23,7 @@ class UnitExpr:
         # normalize: merge equal labels, drop zero exponents, sort
         merged: dict[str, Fraction] = {}
         for label, e in self.factors:
-            merged[label] = merged.get(label, Fraction(0)) + Fraction(e)
+            merged[label] = merged[label] + Fraction(e) if label in merged else Fraction(e)
         norm = tuple(
             (label, e) for label, e in sorted(merged.items()) if e != 0
         )

@@ -270,6 +270,19 @@ def test_twist_incongruent_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("rho, rho_x", [
+    ("[[5,1],[5,1],[9,5]]", "[[1,-3],[1,-3],[5,1]]"),  # three rows, |Sigma_F| = 1
+    ("[[5,1]]", "[[1,-3],[1,-3]]"),
+])
+def test_twist_profiles_off_sigma_F_exit_2(capsys, rho, rho_x):
+    code, doc = run_cli(
+        capsys, "twist", "--p", "3", "--f", "1", "--e", "1", "--d", "2",
+        "--t", "2", "--rho", rho, "--rho-x", rho_x,
+    )
+    assert code == 2
+    assert doc["kind"] == "bad-input" and "|Sigma_F| = e*f = 1" in doc["error"]
+
+
 def test_sweep_deterministic(capsys, tmp_path):
     argv = [
         "sweep", "--p-values", "2,3", "--f-max", "1", "--e-max", "1",
@@ -337,6 +350,13 @@ def test_digits_prime_above_2_64_exit_2(capsys):
 def test_sweep_checking_nothing_rejected(capsys, value):
     code, _ = run_cli(capsys, "sweep", "--p-values", "2", "--thetas-per-cell", value)
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_induction_checking_nothing_rejected(capsys, value):
+    code, doc = run_cli(capsys, "induction", "--q", "3", "--d", "2", "--full-b-cap", "1",
+                        "--samples", value)
+    assert code == 2 and doc["kind"] == "bad-input"
 
 
 def test_sweep_all_thetas(capsys, tmp_path):

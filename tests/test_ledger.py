@@ -22,6 +22,12 @@ class TestUnitExpr:
         u = UnitExpr(1, (("x", Fraction(1)), ("x", Fraction(2))))
         assert u == UnitExpr(1, (("x", Fraction(3)),))
 
+    def test_int_and_float_exponents_become_fractions(self):
+        u = UnitExpr(1, (("x", 2), ("y", 1), ("y", 0.5)))
+        assert u.factors == (("x", Fraction(2)), ("y", Fraction(3, 2)))
+        assert all(type(e) is Fraction for _, e in u.factors)
+        assert u.to_json()["factors"] == [["x", "2", "1"], ["y", "3", "2"]]
+
     def test_zero_exponent_dropped(self):
         u = UnitExpr.symbol("x") * UnitExpr(1, (("x", Fraction(-1)),))
         assert u == UnitExpr.one()

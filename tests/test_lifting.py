@@ -28,6 +28,14 @@ def sigma_E_pairs(f, e, d):
     return [(i0 * e + r, i0 + f * l) for i0 in range(f) for r in range(e) for l in range(d)]
 
 
+def e0_fibres(shape, k):
+    """Sigma_E0 fibres as the builder reads them: column l of the Sigma_F
+    fibres above i0 is the fibre of j = i0 + f*l."""
+    fibres = shape.F_fibres(k)
+    return {i0 + shape.f * l: col for i0 in range(shape.f)
+            for l, col in enumerate(zip(*fibres[shape.F_block(i0)]))}
+
+
 class TestLayout:
     def test_counting_small(self):
         shape = make_shape(3, 1, 1, 2)
@@ -47,9 +55,9 @@ class TestLayout:
 
     def test_pairing_bijection(self):
         shape = make_shape(3, 2, 2, 3)
-        idx = range(shape.size_E)
-        above_F = {t: s for s in range(shape.size_F) for t in idx[shape.F_fibre(s)]}
-        above_E0 = {t: j for j in range(shape.size_E0) for t in idx[shape.E0_fibre(j)]}
+        idx = tuple(range(shape.size_E))
+        above_F = {t: s for s, fib in enumerate(shape.F_fibres(idx)) for t in fib}
+        above_E0 = {t: j for j, fib in e0_fibres(shape, idx).items() for t in fib}
         assert len(above_F) == len(above_E0) == shape.size_E  # the fibres cover Sigma_E
         assert len({(above_F[t], above_E0[t]) for t in idx}) == shape.size_E
         for t in idx:
@@ -63,8 +71,9 @@ class TestLayout:
         for i0 in range(x.f):
             for name in ("F_block", "J_block", "E_block"):
                 assert getattr(x, name)(i0) == getattr(y, name)(i0)
-        assert all(x.F_fibre(s) == y.F_fibre(s) for s in range(x.size_F))
-        assert all(x.E0_fibre(j) == y.E0_fibre(j) for j in range(x.size_E0))
+        idx = tuple(range(x.size_E))
+        assert x.F_fibres(idx) == y.F_fibres(idx)
+        assert e0_fibres(x, idx) == e0_fibres(y, idx)
 
     @pytest.mark.parametrize("f,e,d", [
         (f, e, d) for f in range(1, 5) for e in range(1, 5) for d in range(1, 5)
@@ -73,12 +82,16 @@ class TestLayout:
         shape = make_shape(2, f, e, d)
         pairs = sigma_E_pairs(f, e, d)
         k = tuple(range(100, 100 + shape.size_E))
+        fibres = shape.F_fibres(k)
+        assert len(fibres) == shape.size_F
         for s in range(shape.size_F):
             scan = [k[t] for t, (sig, _) in enumerate(pairs) if sig == s]
-            assert list(k[shape.F_fibre(s)]) == scan
+            assert list(fibres[s]) == scan
+        columns = e0_fibres(shape, k)
+        assert sorted(columns) == list(range(shape.size_E0))
         for j0 in range(shape.size_E0):
             scan = [k[t] for t, (_, j) in enumerate(pairs) if j == j0]
-            assert list(k[shape.E0_fibre(j0)]) == scan
+            assert list(columns[j0]) == scan
         for i0 in range(f):
             assert list(range(shape.size_F)[shape.F_block(i0)]) == [
                 s for s in range(shape.size_F) if s // e == i0]
@@ -328,3 +341,32 @@ class TestRecordedChecksCanFail:
         checks = self._lift(monkeypatch, case, repeat)
         assert checks["det_on_units"] is True and checks["lifts_theta_bar"] is True
         assert checks["weights_distinct"] is False
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_repeat_inside_fibre_breaks_regular(self, monkeypatch, case):
+        def repeat(k, d):  # the first two weights of the Sigma_F fibre 0
+            k[1] = k[0]
+
+        checks = self._lift(monkeypatch, case, repeat)
+        assert checks["weights_distinct"] is False
+        assert checks["regular"] is False
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_repeat_across_fibres_keeps_regular(self, monkeypatch, case):
+        def repeat(k, d):  # the Sigma_F fibre 1 takes fibre 0's first weight
+            k[d] = k[0]
+
+        checks = self._lift(monkeypatch, case, repeat)
+        assert checks["weights_distinct"] is False
+        assert checks["regular"] is True
+
+    @pytest.mark.parametrize("case", [c for c in CASES if c[1] >= 2])
+    def test_swap_across_blocks_breaks_block_separation(self, monkeypatch, case):
+        e = case[2]
+
+        def swap(k, d):  # the first weights of the i0-blocks 0 and 1
+            k[0], k[e * d] = k[e * d], k[0]
+
+        checks = self._lift(monkeypatch, case, swap)
+        assert checks["weights_distinct"] is True and checks["regular"] is True
+        assert checks["block_separation"] is False

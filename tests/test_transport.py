@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -181,6 +183,25 @@ class TestVerifyAssignment:
         assert not ok
         assert any("C" in v for v in violations)
 
+    def test_rejects_wrong_column_sums(self):
+        inst = TransportInstance((3, 2), (2, 3))
+        ok, violations = verify_assignment(AssignmentMatrix(inst, [[3, 0], [2, 0]]))
+        assert not ok
+        assert violations == ["column 0 sums to 5, expected 2", "column 1 sums to 0, expected 3"]
+
+    def test_violation_texts_in_scan_order(self):
+        """Rows, then columns, then distinctness, then magnitudes."""
+        inst = TransportInstance((1, 0), (0, 1), m=3, C=5)
+        ok, violations = verify_assignment(AssignmentMatrix(inst, [[7, 7], [-7, 2]]))
+        assert not ok
+        assert violations == [
+            "row 0 sums to 14, expected 1",
+            "row 1 sums to -5, expected 0",
+            "column 1 sums to 9 !≡ 1 (mod 3)",
+            "entries are not pairwise distinct",
+            "|x[1][1]| = 2 <= C = 5",
+        ]
+
     def test_shape_mismatch(self):
         inst = TransportInstance((1,), (1,))
         ok, violations = verify_assignment(AssignmentMatrix(inst, [[1, 0]]))
@@ -227,3 +248,35 @@ def test_seeded_random_closure():
         sol = transport(a, b_exact)
         ok, violations = verify_assignment(sol)
         assert ok, (a, b_exact, violations)
+
+
+# sha256 over regular_transport's entries on _pinned_instances: any drift in
+# the closed form (base, offsets, kept last row) changes it
+TRANSPORT_DIGEST = "5e9b6ce7dd4c5b2eb513ca1945c1f8d556d950debe33490d3fe80ab8910b1f8b"
+
+
+def _pinned_instances():
+    """2100 seeded instances: n <= 12, 2 <= k <= 12, C in {0, 5, 1000}, and
+    entries small or large enough for the last base row to be kept or not."""
+    rng = random.Random(14)
+    for C in (0, 5, 1000):
+        for _ in range(700):
+            n, k = rng.randint(1, 12), rng.randint(2, 12)
+            hi = rng.choice((10, 3000))
+            a = [rng.randint(-hi, hi) for _ in range(n)]
+            b = [rng.randint(-hi, hi) for _ in range(k)]
+            m = rng.randint(1, 12)
+            b[-1] += (sum(a) - sum(b)) % m
+            yield a, b, m, C
+
+
+def test_regular_transport_bytes_pinned():
+    digest = hashlib.sha256()
+    cases = set()
+    for a, b, m, C in _pinned_instances():
+        entries = regular_transport(a, b, m, C).entries
+        cases.add((C, len(b) % 2, entries[-1] == _base(a, b)[-1]))
+        digest.update(json.dumps(entries).encode())
+    # every C, odd and even k, the last base row kept and offset
+    assert len(cases) == 12
+    assert digest.hexdigest() == TRANSPORT_DIGEST
