@@ -36,7 +36,6 @@ from .lifting import (
     LiftCertificate,
     LocalFieldShape,
     compat_check,
-    induce_weights,
     irr_crys_lift,
 )
 from .transport import (

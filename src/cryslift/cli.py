@@ -147,7 +147,8 @@ def cmd_induction(args: argparse.Namespace) -> int:
     else:
         import random
 
-        if model.M <= args.full_b_cap:
+        # a sample as large as C_M is all of it
+        if model.M <= max(args.full_b_cap, args.samples):
             bs = range(model.M)
         else:
             rng = random.Random(args.seed)

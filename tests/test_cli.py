@@ -359,6 +359,15 @@ def test_induction_checking_nothing_rejected(capsys, value):
     assert code == 2 and doc["kind"] == "bad-input"
 
 
+@pytest.mark.parametrize("samples", [[], ["--samples", "8"]])
+def test_induction_samples_past_m_check_every_b(capsys, samples):
+    # M = 8: the default 512 samples, or exactly M of them, are all of C_M
+    code, doc = run_cli(capsys, "induction", "--q", "3", "--d", "2", "--full-b-cap", "0",
+                        *samples)
+    assert code == 0
+    assert doc["M"] == doc["b_values_checked"] == 8 and doc["pass"]
+
+
 def test_sweep_all_thetas(capsys, tmp_path):
     out = tmp_path / "all.json"
     assert main([

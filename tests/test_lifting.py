@@ -1,17 +1,18 @@
+import json
 import random
 
 import pytest
 
-from cryslift import lifting
+from cryslift import cli, lifting
 from cryslift.errors import InfeasibleError
 from cryslift.fields import FiniteFieldSpec, MultChar, digits
 from cryslift.lifting import (
     DetSpec,
     LocalFieldShape,
     compat_check,
-    induce_weights,
     irr_crys_lift,
 )
+from cryslift.sweep import SweepConfig, run_sweep
 from cryslift.units import UnitExpr
 
 U = UnitExpr.symbol("psi(varpi_F)")
@@ -82,11 +83,10 @@ class TestLayout:
         shape = make_shape(2, f, e, d)
         pairs = sigma_E_pairs(f, e, d)
         k = tuple(range(100, 100 + shape.size_E))
-        fibres = shape.F_fibres(k)
-        assert len(fibres) == shape.size_F
-        for s in range(shape.size_F):
-            scan = [k[t] for t, (sig, _) in enumerate(pairs) if sig == s]
-            assert list(fibres[s]) == scan
+        assert shape.F_fibres(k) == [
+            tuple(k[t] for t, (sig, _) in enumerate(pairs) if sig == s)
+            for s in range(shape.size_F)
+        ]
         columns = e0_fibres(shape, k)
         assert sorted(columns) == list(range(shape.size_E0))
         for j0 in range(shape.size_E0):
@@ -99,12 +99,6 @@ class TestLayout:
                 j for j in range(shape.size_E0) if j % f == i0]
             assert list(k[shape.E_block(i0)]) == [
                 k[t] for t, (sig, _) in enumerate(pairs) if sig // e == i0]
-        fibres, _ = induce_weights(k, shape)
-        assert fibres == [
-            tuple(sorted((k[t] for t, (sig, _) in enumerate(pairs) if sig == s),
-                         reverse=True))
-            for s in range(shape.size_F)
-        ]
 
     def test_invalid_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -222,26 +216,6 @@ class TestLiftTheta:
                 check_lift_conditions(k, tb, tuple(a), shape)
 
 
-class TestInduceWeights:
-    def test_distinct_pair(self):
-        fibres, regular = induce_weights((2, 1), make_shape(3, 1, 1, 2, 2))
-        assert fibres == [(2, 1)]
-        assert regular
-
-    def test_repeated_value_not_regular(self):
-        _, regular = induce_weights((2, 2), make_shape(3, 1, 1, 2, 2))
-        assert not regular
-
-    def test_d1_always_regular(self):
-        fibres, regular = induce_weights((3, 3), make_shape(5, 1, 2, 1))
-        assert fibres == [(3,), (3,)]
-        assert regular
-
-    def test_descending_order(self):
-        fibres, _ = induce_weights((1, 5, -2), make_shape(2, 1, 1, 3))
-        assert fibres == [(5, 1, -2)]
-
-
 class TestIrrCrysLift:
     def test_worked_example_certificate(self):
         shape = make_shape(3, 1, 1, 2, 2)
@@ -259,6 +233,7 @@ class TestIrrCrysLift:
         assert cert.theta_uniformizer == U  # (-1)^0 twist
         assert cert.checks["lifts_theta_bar"] is None
         assert cert.checks["weights_distinct"] is None
+        assert cert.checks["regular"] is True
 
     def test_incompatible_inputs_no_certificate(self):
         shape = make_shape(3, 1, 1, 2, 2)
@@ -370,3 +345,43 @@ class TestRecordedChecksCanFail:
         checks = self._lift(monkeypatch, case, swap)
         assert checks["weights_distinct"] is True and checks["regular"] is True
         assert checks["block_separation"] is False
+
+
+class TestSolverFaultFailsARecordedCheck:
+    """A transport block off by one in a single entry reaches every caller
+    of the real lift path as a failing recorded check, not as an exception."""
+
+    @pytest.fixture
+    def faulty_transport(self, monkeypatch):
+        solve = lifting.regular_transport
+
+        def faulty(a, b, m, C):
+            sol = solve(a, b, m, C)
+            sol.entries[0][0] += 1
+            return sol
+
+        monkeypatch.setattr(lifting, "regular_transport", faulty)
+
+    def test_lift_records_det_on_units_false(self, faulty_transport):
+        shape = make_shape(3, 1, 1, 2, 2)
+        tb = MultChar(FiniteFieldSpec(3, 2), 5)
+        assert irr_crys_lift(tb, DetSpec((3,), U), shape).checks["det_on_units"] is False
+
+    def test_cli_lift_exits_4(self, faulty_transport, capsys):
+        code = cli.main(["lift", "--p", "3", "--f", "1", "--e", "1", "--d", "2", "--t", "2",
+                         "--theta-bar", "5", "--a", "3"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 4
+        assert doc["kind"] == "internal-invariant"
+        assert "identity det_on_units fails on recomputation" in doc["error"]
+
+    def test_sweep_records_the_failing_rows(self, faulty_transport):
+        report = run_sweep(SweepConfig(p_values=(3,), f_max=1, e_max=2, d_max=2,
+                                       thetas_per_cell=None, record="failures"))
+        rows = report["instances"]
+        # every d = 2 instance runs the faulty transport; d = 1 does not
+        assert [r["id"] for r in rows] == [
+            f"p=3,f=1,e={e},d=2,t=2,b={b}" for e in (1, 2) for b in range(8)]
+        assert report["totals"] == {"instances": 20, "passed": 4, "failed": 16}
+        assert all("identity det_on_units fails on recomputation" in r["violations"]
+                   for r in rows)
