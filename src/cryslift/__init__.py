@@ -38,13 +38,7 @@ from .lifting import (
     compat_check,
     irr_crys_lift,
 )
-from .transport import (
-    AssignmentMatrix,
-    TransportInstance,
-    regular_transport,
-    transport,
-    verify_assignment,
-)
+from .transport import regular_transport, verify_assignment
 from .units import UnitExpr
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from .induction import FrobeniusModel, verify_det_induction
 from .ledger import WeightProfile, twist_shout
 from .lifting import DetSpec, LocalFieldShape, irr_crys_lift
 from .sweep import SweepConfig, run_sweep
-from .transport import AssignmentMatrix, regular_transport, transport, verify_assignment
+from .transport import regular_transport, transport, verify_assignment
 from .units import UnitExpr
 
 EXIT_OK = 0
@@ -95,22 +95,24 @@ def cmd_digits(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _emit_matrix(sol: AssignmentMatrix) -> int:
-    ok, violations = verify_assignment(sol)
+def _emit_matrix(x: list[list[int]], *problem) -> int:
+    ok, violations = verify_assignment(x, *problem)
     if not ok:
         raise AssertionError(f"solver output failed self-check: {violations}")
-    for i, row in enumerate(sol.entries):
+    for i, row in enumerate(x):
         certio.check_int_str_len(row, f"matrix[{i}]")
-    _emit({"matrix": [[str(v) for v in row] for row in sol.entries]})
+    _emit({"matrix": [[str(v) for v in row] for row in x]})
     return EXIT_OK
 
 
 def cmd_transport(args: argparse.Namespace) -> int:
-    return _emit_matrix(transport(_int_list(args.a), _int_list(args.b)))
+    a, b = _int_list(args.a), _int_list(args.b)
+    return _emit_matrix(transport(a, b), a, b)
 
 
 def cmd_regular(args: argparse.Namespace) -> int:
-    return _emit_matrix(regular_transport(_int_list(args.a), _int_list(args.b), args.m, args.C))
+    problem = (_int_list(args.a), _int_list(args.b), args.m, args.C)
+    return _emit_matrix(regular_transport(*problem), *problem)
 
 
 def _shape(args: argparse.Namespace) -> LocalFieldShape:

@@ -186,8 +186,8 @@ def _build_weights(b: tuple[int, ...], a: tuple[int, ...],
     k: list[int] = []
     C = 0
     for i0 in range(shape.f):
-        sol = regular_transport(a[shape.F_block(i0)], b[shape.J_block(i0)], shape.p - 1, C)
-        for row in sol.entries:
+        for row in regular_transport(a[shape.F_block(i0)], b[shape.J_block(i0)],
+                                     shape.p - 1, C):
             k.extend(row)
         C = max(map(abs, k[shape.E_block(i0)]))  # the block lies above the last C
     return tuple(k)

@@ -17,65 +17,38 @@ Two solvers:
   entry above C.  Magnitudes grow additively in the rows, and at most
   double per call.
 
-Both are deterministic closed forms, with no search.
+Both are deterministic closed forms, with no search, and return the
+matrix as a list of rows.  :func:`verify_assignment` checks a matrix
+against the problem it is given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from .errors import InfeasibleError
 
 
-@dataclass(frozen=True)
-class TransportInstance:
-    """Row sums a, column sums b, optional modulus m and magnitude bound C.
-
-    m is None for the exact problem (column sums hit b on the nose);
-    m >= 1 switches to the regular problem (column sums mod m, entries
-    distinct, |entry| > C).
-    """
-
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    m: int | None = None
-    C: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.a or not self.b:
-            raise ValueError("row and column sum lists must be nonempty")
-        if self.m is None:
-            if sum(self.a) != sum(self.b):
-                raise InfeasibleError(
-                    f"total mismatch: sum(a)={sum(self.a)} != sum(b)={sum(self.b)}"
-                )
-        else:
-            if self.m < 1:
-                raise ValueError(f"modulus m={self.m} must be >= 1")
-            if self.C < 0:
-                raise ValueError(f"magnitude bound C={self.C} must be >= 0")
-            if len(self.b) < 2:
-                raise InfeasibleError(
-                    "regular problem needs at least two columns to rebalance"
-                )
-            if (sum(self.a) - sum(self.b)) % self.m != 0:
-                raise InfeasibleError(
-                    f"congruence mismatch: sum(a)={sum(self.a)} !≡ "
-                    f"sum(b)={sum(self.b)} (mod {self.m})"
-                )
-
-    @property
-    def regular(self) -> bool:
-        return self.m is not None
-
-
-@dataclass
-class AssignmentMatrix:
-    """A solved instance together with its entries (rows x cols)."""
-
-    instance: TransportInstance
-    entries: list[list[int]]
+def _check(a: list[int], b: list[int], m: int | None = None, C: int = 0) -> None:
+    """Refuse a malformed or infeasible instance: row sums a, column sums b,
+    m None for the exact problem (column sums hit b on the nose) or m >= 1
+    for the regular one (column sums mod m, entries distinct, |entry| > C)."""
+    if not a or not b:
+        raise ValueError("row and column sum lists must be nonempty")
+    if m is None:
+        if sum(a) != sum(b):
+            raise InfeasibleError(f"total mismatch: sum(a)={sum(a)} != sum(b)={sum(b)}")
+        return
+    if m < 1:
+        raise ValueError(f"modulus m={m} must be >= 1")
+    if C < 0:
+        raise ValueError(f"magnitude bound C={C} must be >= 0")
+    if len(b) < 2:
+        raise InfeasibleError("regular problem needs at least two columns to rebalance")
+    if (sum(a) - sum(b)) % m != 0:
+        raise InfeasibleError(
+            f"congruence mismatch: sum(a)={sum(a)} !≡ sum(b)={sum(b)} (mod {m})"
+        )
 
 
 def _exact_rows(a: list[int], b: list[int]) -> list[list[int]]:
@@ -87,9 +60,10 @@ def _exact_rows(a: list[int], b: list[int]) -> list[list[int]]:
     return [[x] + zeros for x in a[:-1]] + [last]
 
 
-def transport(a: list[int], b: list[int]) -> AssignmentMatrix:
+def transport(a: list[int], b: list[int]) -> list[list[int]]:
     """Exact transportation: row sums a, column sums b, sum(a) == sum(b)."""
-    return AssignmentMatrix(TransportInstance(tuple(a), tuple(b)), _exact_rows(a, b))
+    _check(a, b)
+    return _exact_rows(a, b)
 
 
 def _offsets(k: int, T: int, s: int) -> list[int]:
@@ -104,7 +78,7 @@ def _offsets(k: int, T: int, s: int) -> list[int]:
     return y
 
 
-def regular_transport(a: list[int], b: list[int], m: int, C: int) -> AssignmentMatrix:
+def regular_transport(a: list[int], b: list[int], m: int, C: int) -> list[list[int]]:
     """Distinct-entry transportation: exact row sums, column sums mod m.
 
     Entries are pairwise distinct across the whole matrix and satisfy
@@ -118,7 +92,7 @@ def regular_transport(a: list[int], b: list[int], m: int, C: int) -> AssignmentM
     lane.  So |x_ij| <= 2*max(C, B) + (2n(k+1) + 3)*(2B + m): additive in
     the rows, at most a factor 2 over C per call.
     """
-    inst = TransportInstance(tuple(a), tuple(b), m, C)
+    _check(a, b, m, C)
     n, k = len(a), len(b)
 
     # Exact column targets congruent to b: keep b_j for j < k-1, dump the
@@ -136,14 +110,15 @@ def regular_transport(a: list[int], b: list[int], m: int, C: int) -> AssignmentM
                for i, base in enumerate(rows[:-1] if kept else rows)]
     if kept:
         entries.append(last)
-    return AssignmentMatrix(inst, entries)
+    return entries
 
 
-def verify_assignment(M: AssignmentMatrix) -> tuple[bool, list[str]]:
-    """Check every mode-appropriate invariant; list each violation found."""
-    inst = M.instance
-    x = M.entries
-    n, k = len(inst.a), len(inst.b)
+def verify_assignment(x: list[list[int]], a: list[int], b: list[int],
+                      m: int | None = None, C: int = 0) -> tuple[bool, list[str]]:
+    """Check x against the problem (a, b, m, C), exact when m is None;
+    list each violation found.  A refused problem raises as the solvers do."""
+    _check(a, b, m, C)
+    n, k = len(a), len(b)
     if len(x) != n or set(map(len, x)) != {k}:
         return False, [f"shape mismatch: expected {n}x{k}"]
 
@@ -151,17 +126,16 @@ def verify_assignment(M: AssignmentMatrix) -> tuple[bool, list[str]]:
     # sums are lists, as tuple(map(...)) resizes and fills tuple free lists
     violations: list[str] = []
     rows, cols = list(map(sum, x)), list(map(sum, zip(*x)))
-    if rows != list(inst.a):
+    if rows != list(a):
         violations += [f"row {i} sums to {s}, expected {ai}"
-                       for i, (s, ai) in enumerate(zip(rows, inst.a)) if s != ai]
-    if not inst.regular:
-        if cols != list(inst.b):
+                       for i, (s, ai) in enumerate(zip(rows, a)) if s != ai]
+    if m is None:
+        if cols != list(b):
             violations += [f"column {j} sums to {s}, expected {bj}"
-                           for j, (s, bj) in enumerate(zip(cols, inst.b)) if s != bj]
+                           for j, (s, bj) in enumerate(zip(cols, b)) if s != bj]
         return (not violations), violations
-    m, C = inst.m, inst.C
     violations += [f"column {j} sums to {s} !≡ {bj} (mod {m})"
-                   for j, (s, bj) in enumerate(zip(cols, inst.b)) if (s - bj) % m]
+                   for j, (s, bj) in enumerate(zip(cols, b)) if (s - bj) % m]
     flat = list(chain.from_iterable(x))
     if len(set(flat)) != n * k:
         violations.append("entries are not pairwise distinct")

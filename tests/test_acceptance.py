@@ -71,12 +71,12 @@ def test_criterion_2_assignment_solver():
         C = rng.randint(0, 100)
         b[-1] += (sum(a) - sum(b)) % m
         sol = regular_transport(a, b, m, C)
-        accepted, violations = verify_assignment(sol)
+        accepted, violations = verify_assignment(sol, a, b, m, C)
         ok = ok and accepted
 
         b_exact = list(b)
         b_exact[-1] += sum(a) - sum(b_exact)
-        accepted, violations = verify_assignment(transport(a, b_exact))
+        accepted, violations = verify_assignment(transport(a, b_exact), a, b_exact)
         ok = ok and accepted
     _report(2, "assignment solver", ok, time.perf_counter() - start, 30)
 

@@ -12,7 +12,7 @@ import pytest
 from cryslift import cli
 from cryslift.cli import main
 from cryslift.lifting import DetSpec, irr_crys_lift
-from cryslift.transport import AssignmentMatrix, TransportInstance, verify_assignment
+from cryslift.transport import verify_assignment
 from cryslift.units import UnitExpr
 
 
@@ -46,6 +46,22 @@ def test_malformed_input_exit_2(capsys):
     assert doc["kind"] == "bad-input"
 
 
+@pytest.mark.parametrize("argv, code, kind, error", [
+    ("transport --a , --b 1", 2, "bad-input", "row and column sum lists must be nonempty"),
+    ("regular --a 1 --b 0,1 --m 0", 2, "bad-input", "modulus m=0 must be >= 1"),
+    ("regular --a 1 --b 0,1 --m 1 --C -1", 2, "bad-input",
+     "magnitude bound C=-1 must be >= 0"),
+    ("regular --a 1 --b 1 --m 1", 3, "infeasible",
+     "regular problem needs at least two columns to rebalance"),
+    ("regular --a 1 --b 0,0 --m 3", 3, "infeasible",
+     "congruence mismatch: sum(a)=1 !≡ sum(b)=0 (mod 3)"),
+    ("transport --a 1 --b 2", 3, "infeasible", "total mismatch: sum(a)=1 != sum(b)=2"),
+], ids=["empty-sums", "m-below-1", "negative-C", "one-column", "congruence", "total"])
+def test_transport_refusals(capsys, argv, code, kind, error):
+    """Each refused instance exits with its own code, kind and text."""
+    assert run_cli(capsys, *argv.split()) == (code, {"error": error, "kind": kind})
+
+
 def test_regular(capsys):
     code, doc = run_cli(
         capsys, "regular", "--a", "0", "--b", "0,0", "--m", "3", "--C", "5"
@@ -73,8 +89,7 @@ def test_regular_5000_rows(capsys):
         )
         assert code == 0, doc
         entries = [[int(v) for v in row] for row in doc["matrix"]]
-        sol = AssignmentMatrix(TransportInstance(tuple(a), tuple(b), 3, 5), entries)
-        ok, violations = verify_assignment(sol)
+        ok, violations = verify_assignment(entries, a, b, 3, 5)
         assert ok, violations[:5]
 
 
@@ -137,14 +152,10 @@ def test_lift_runs_schema_check_before_emitting(capsys, monkeypatch):
     assert doc["error"].startswith("certificate schema violation at psi.a[0]: ")
 
 
-def test_regular_refuses_entry_past_wire_format(capsys, monkeypatch):
-    """A matrix entry past 4000 characters exits 2 naming it, in place of
-    str()'s own 4300-digit error."""
-    big = 10 ** 5000
-    sol = AssignmentMatrix(TransportInstance((big,), (0, 0), 1, 0), [[big + 1, -1]])
-    assert verify_assignment(sol)[0]
-    monkeypatch.setattr(cli, "regular_transport", lambda a, b, m, C: sol)
-    code, doc = run_cli(capsys, "regular", "--a", "0", "--b", "0,0", "--m", "1")
+def test_regular_refuses_entry_past_wire_format(capsys):
+    """A matrix entry past 4000 characters exits 2 naming it: row sum
+    10^4050 gives the entry 10^4050 + 1, 4051 digits."""
+    code, doc = run_cli(capsys, "regular", "--a", "1" + "0" * 4050, "--b", "0,0", "--m", "1")
     assert code == 2
     assert doc == {"kind": "bad-input", "error": "matrix[0][0]: more than 4000 characters "
                    "as a decimal string, past the wire format's limit"}

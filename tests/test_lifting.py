@@ -357,7 +357,7 @@ class TestSolverFaultFailsARecordedCheck:
 
         def faulty(a, b, m, C):
             sol = solve(a, b, m, C)
-            sol.entries[0][0] += 1
+            sol[0][0] += 1
             return sol
 
         monkeypatch.setattr(lifting, "regular_transport", faulty)
