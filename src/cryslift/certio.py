@@ -1,5 +1,8 @@
 """JSON wire format for certificates and reports.
 
+This module writes certificates and checks them against their schema;
+only the independent verifier (:mod:`cryslift.verify`) reads one back.
+
 All integers serialize as decimal strings so that consumers without
 big-integer support cannot silently lose precision.  The canonical
 embedding orderings documented in :mod:`cryslift.lifting` are part of
@@ -15,9 +18,7 @@ import json
 import re
 
 from .errors import CertificateError
-from .fields import FiniteFieldSpec, MultChar
-from .lifting import DetSpec, LiftCertificate, LocalFieldShape
-from .units import UnitExpr
+from .lifting import LiftCertificate
 
 CERTIFICATE_SCHEMA_ID = "lift-certificate/v1"
 REPORT_SCHEMA_ID = "sweep-report/v1"
@@ -54,30 +55,6 @@ def certificate_to_json(cert: LiftCertificate) -> dict:
         "checks": dict(cert.checks),
         "hypotheses": dict(cert.hypotheses),
     }
-
-
-def certificate_from_json(obj: dict) -> LiftCertificate:
-    validate_certificate_schema(obj)
-    sh = obj["shape"]
-    shape = LocalFieldShape(
-        int(sh["p"]), int(sh["f"]), int(sh["e"]), int(sh["d"]), int(sh["t"])
-    )
-    theta_bar = MultChar(
-        FiniteFieldSpec(shape.p, shape.f * shape.d), int(obj["theta_bar"]["b"])
-    )
-    psi = DetSpec(
-        tuple(int(v) for v in obj["psi"]["a"]),
-        UnitExpr.from_json(obj["psi"]["uniformizer"]),
-    )
-    return LiftCertificate(
-        shape=shape,
-        theta_bar=theta_bar,
-        psi=psi,
-        weights=tuple(int(v) for v in obj["weights"]),
-        theta_uniformizer=UnitExpr.from_json(obj["theta_uniformizer"]),
-        checks=dict(obj["checks"]),
-        hypotheses=dict(obj.get("hypotheses", {})),
-    )
 
 
 def check_int_str_len(values, path: str) -> None:

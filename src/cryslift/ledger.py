@@ -82,6 +82,9 @@ def shift_for_extension(
     """
     if p < 2:
         raise ValueError(f"p={p} must be at least 2")
+    if len(p1.weights) != len(p2.weights):
+        raise ValueError(f"profiles have {len(p1.weights)} and {len(p2.weights)} "
+                         "embeddings; both need the same")
     d1, d2 = p1.dim, p2.dim
     step = p - 1
     N = max(0, -min(p1.all_weights()) // (d2 * step) + 1,

@@ -63,10 +63,11 @@ class SweepConfig:
 
 
 def iter_cells(config: SweepConfig) -> list[LocalFieldShape]:
+    """The grid's cells in order, each distinct prime of p_values once."""
     cells = []
     cap = 2 ** config.max_field_bits
     # p^f and p^(f*d) only grow with f and d, so both loops stop at the cap
-    for p in sorted(config.p_values):
+    for p in sorted(set(config.p_values)):
         for f in range(1, config.f_max + 1):
             q = p ** f
             if q > cap:

@@ -73,13 +73,3 @@ class UnitExpr:
                 for label, e in self.factors
             ],
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "UnitExpr":
-        return UnitExpr(
-            int(obj["sign"]),
-            tuple(
-                (label, Fraction(int(num), int(den)))
-                for label, num, den in obj["factors"]
-            ),
-        )

@@ -411,6 +411,16 @@ def test_sweep_prime_range(capsys, tmp_path, text, primes):
     assert sorted(json.loads(out.read_text())["config"]["p_values"]) == primes
 
 
+def test_sweep_prime_listed_twice_runs_once(capsys, tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["sweep", "--p-values", "2-3,3", "--f-max", "1", "--e-max", "1",
+                 "--d-max", "1", "--thetas-per-cell", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    ids = [row["id"] for row in report["instances"]]
+    assert report["totals"]["instances"] == len(ids) == len(set(ids)) == 3
+
+
 def test_sweep_prime_range_stops_at_field_cap(capsys, tmp_path):
     # primes above 2^max-field-bits have no cell, so a range skips them
     out = tmp_path / "r.json"

@@ -51,10 +51,6 @@ class TestUnitExpr:
         with pytest.raises(ValueError):
             UnitExpr.symbol("x").negate() ** Fraction(1, 2)
 
-    def test_json_round_trip(self):
-        u = UnitExpr(-1, (("a", Fraction(2, 3)), ("b", Fraction(-1))))
-        assert UnitExpr.from_json(u.to_json()) == u
-
     @given(st.lists(st.tuples(st.sampled_from("abc"), st.integers(-3, 3)), max_size=6))
     def test_multiplication_order_irrelevant(self, pairs):
         units = [UnitExpr(1, ((l, Fraction(e)),)) for l, e in pairs]
@@ -107,6 +103,10 @@ class TestShiftForExtension:
             WeightProfile(((3, 1),)), WeightProfile(((-1, -4),)), 3
         )
         assert N == 0
+
+    def test_embedding_counts_must_match(self):
+        with pytest.raises(ValueError, match="2 and 1 embeddings"):
+            shift_for_extension(WeightProfile(((1,), (2,))), WeightProfile(((-1,),)), 3)
 
     def test_p2_zero_weights(self):
         N, *_ = shift_for_extension(WeightProfile(((0,),)), WeightProfile(((0,),)), 2)

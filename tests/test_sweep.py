@@ -126,6 +126,12 @@ def test_iter_cells_stops_at_cap():
     assert cells == scan
 
 
+def test_iter_cells_visits_each_prime_once():
+    config = dict(f_max=2, e_max=2, d_max=2, t_with_p=True)
+    assert (iter_cells(SweepConfig(p_values=(2, 3, 3), **config))
+            == iter_cells(SweepConfig(p_values=(2, 3), **config)))
+
+
 @pytest.fixture
 def made_pools(monkeypatch):
     """Replaces ProcessPoolExecutor with an in-process pool, so that no test
