@@ -35,16 +35,9 @@ MAX_UNIT_FACTORS = 16
 
 
 def certificate_to_json(cert: LiftCertificate) -> dict:
-    sh = cert.shape
     return {
         "schema": CERTIFICATE_SCHEMA_ID,
-        "shape": {
-            "p": str(sh.p),
-            "f": str(sh.f),
-            "e": str(sh.e),
-            "d": str(sh.d),
-            "t": str(sh.t),
-        },
+        "shape": cert.shape.to_json(),
         "theta_bar": {"b": str(cert.theta_bar.b)},
         "psi": {
             "a": list(map(str, cert.psi.a)),

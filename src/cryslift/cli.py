@@ -32,6 +32,11 @@ EXIT_INTERNAL = 4
 # with int64 arrays of M entries, about 160 MB and 1-2 s per b at the limit.
 INDUCTION_M_MAX = 2 ** 22
 
+# Largest residue degree: f for `cryslift digits`, f*d for `cryslift lift`.
+# Each computes p to that power and expands that many digits of theta_bar;
+# a lift at the limit takes about 0.4 s and 31 MB, and at 2^20 about 4 s.
+RESIDUE_DEGREE_MAX = 2 ** 16
+
 # Most integers that the ranges of `cryslift sweep --p-values` may span: each
 # is tested for primality before any cell runs, about 0.5 s for 2^16
 # integers near 2^64 and 0.1 s below 2^16.
@@ -87,7 +92,14 @@ def _profile(text: str) -> WeightProfile:
     return WeightProfile(tuple(tuple(row) for row in rows))
 
 
+def _check_degree(degree: int, name: str) -> None:
+    """Refuse a residue degree above RESIDUE_DEGREE_MAX before p is raised to it."""
+    if degree > RESIDUE_DEGREE_MAX:
+        raise ValueError(f"{name} must be at most {RESIDUE_DEGREE_MAX}")
+
+
 def cmd_digits(args: argparse.Namespace) -> int:
+    _check_degree(args.f, "the residue degree f")
     c = MultChar(FiniteFieldSpec(args.p, args.f), args.b)
     d = digits(c)
     _emit({"p": str(args.p), "f": str(args.f), "b": str(args.b),
@@ -120,7 +132,9 @@ def _shape(args: argparse.Namespace) -> LocalFieldShape:
 
 
 def cmd_lift(args: argparse.Namespace) -> int:
+    # the shape compares t with q-1 by bit lengths first; p^(f*d) comes later
     shape = _shape(args)
+    _check_degree(shape.f * shape.d, "the residue degree f*d of E")
     theta_bar = MultChar(shape.residue_field_E, args.theta_bar)
     psi = DetSpec(tuple(_int_list(args.a)), UnitExpr.symbol("psi(varpi_F)"))
     cert = irr_crys_lift(theta_bar, psi, shape)

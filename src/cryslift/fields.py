@@ -10,7 +10,7 @@ sends x to sigma_0(x^(p^i)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isqrt
 
 
@@ -66,16 +66,15 @@ class FiniteFieldSpec:
 
     p: int
     f: int
+    # p^f, computed with the field; ==, hash and repr ignore it
+    q: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise ValueError(f"p={self.p} is not prime")
         if self.f < 1:
             raise ValueError(f"f={self.f} must be >= 1")
-
-    @property
-    def q(self) -> int:
-        return self.p ** self.f
+        object.__setattr__(self, "q", self.p ** self.f)
 
 
 @dataclass(frozen=True)

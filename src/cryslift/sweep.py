@@ -89,10 +89,12 @@ def _force_compat(
     unramified block so that it meets its J-block of theta_bar's digits b
     in the compatibility congruence."""
     p = shape.p
+    # randint(-bound, bound) only calls randrange(-bound, bound + 1): same draws
+    randrange, e = rng.randrange, range(shape.e)
     a: list[int] = []
-    for i0 in range(shape.f):
-        block = [rng.randint(-bound, bound) for _ in range(shape.e)]
-        delta = (sum(b[shape.J_block(i0)]) - sum(block)) % (p - 1)
+    for J in shape.J_blocks:
+        block = [randrange(-bound, bound + 1) for _ in e]
+        delta = (sum(b[J]) - sum(block)) % (p - 1)
         block[0] += delta
         # 0 <= delta <= p-2, so one step of p-1 brings block[0] to at most bound-1
         if block[0] > bound and block[0] - (p - 1) >= -bound:
@@ -111,13 +113,14 @@ def run_cell(shape: LocalFieldShape, config: SweepConfig) -> list[dict]:
         bs = sorted(rng.sample(range(big_q - 1), config.thetas_per_cell))
     field_E = shape.residue_field_E
     psi_unif = UnitExpr.symbol("psi(varpi_F)")
+    key = shape.key
     rows = []
     for b in bs:
         theta_bar = MultChar(field_E, b)
         b_digits = digits(theta_bar).digits
         a = _force_compat(rng, shape, b_digits, config.a_bound)
         psi = DetSpec(a, psi_unif)
-        row_id = f"{shape.key},b={b}"
+        row_id = f"{key},b={b}"
         try:
             # one digit expansion per instance: the lift reuses b_digits
             cert = _lift(theta_bar, b_digits, psi, shape)

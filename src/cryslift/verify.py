@@ -16,12 +16,14 @@ k[i0*e*d + l:(i0+1)*e*d:d].
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 
 # The verifier checks p only below this bound, where Miller-Rabin with
 # the bases below is a proof of primality (it is for all n < 3.18e23).
 P_BOUND = 2 ** 64
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_shape_fields = itemgetter("p", "f", "e", "d", "t")
 
 
 def _is_prime(n: int) -> bool:
@@ -64,14 +66,22 @@ def _base_p_digits(b: int, p: int, length: int) -> list[int]:
     return out
 
 
+def _exponent(num: str, den: str) -> int | Fraction:
+    """num/den, a plain int when den is 1: ints compare with Fractions by value."""
+    den = int(den)
+    return int(num) if den == 1 else Fraction(int(num), den)
+
+
 def _unit_normal(obj: dict) -> tuple[int, tuple[tuple[str, int | Fraction], ...]]:
-    """Sign and merged, sorted, non-zero exponents of a unit.  Denominator-1
-    exponents stay plain ints, which compare with Fractions by value."""
+    """Sign and merged, sorted, non-zero exponents of a unit."""
+    factors = obj["factors"]
+    if len(factors) == 1:  # one factor, as the builder writes: nothing to merge
+        (label, num, den), = factors
+        e = _exponent(num, den)
+        return int(obj["sign"]), ((label, e),) if e != 0 else ()
     acc: dict[str, int | Fraction] = {}
-    for label, num, den in obj["factors"]:
-        den = int(den)
-        e = int(num) if den == 1 else Fraction(int(num), den)
-        acc[label] = acc.get(label, 0) + e
+    for label, num, den in factors:
+        acc[label] = acc.get(label, 0) + _exponent(num, den)
     return int(obj["sign"]), tuple(
         (label, e) for label, e in sorted(acc.items()) if e != 0
     )
@@ -88,8 +98,7 @@ def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
 
     # cheapest checks first: no power of p and no digit expansion before
     # the lengths of psi and weights bound f*d by the document's size
-    sh = obj["shape"]
-    p, f, e, d, t = (int(sh[x]) for x in ("p", "f", "e", "d", "t"))
+    p, f, e, d, t = map(int, _shape_fields(obj["shape"]))
     if not p < P_BOUND:
         return False, [f"shape: p={p} is not below the verifier's bound 2^64"]
     if not _is_prime(p):
@@ -102,8 +111,8 @@ def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
     if len(obj["weights"]) != e * f * d:
         return False, [f"{len(obj['weights'])} weights, expected e*f*d "
                        f"with e={e}, f={f}, d={d}"]
-    a = [int(v) for v in obj["psi"]["a"]]
-    k = [int(v) for v in obj["weights"]]
+    a = list(map(int, obj["psi"]["a"]))
+    k = list(map(int, obj["weights"]))
 
     # t is a multiple of q-1 = p^f-1 only if q-1 <= t
     if not _pow_le(p, f, t + 1) or t % (p ** f - 1) != 0:
@@ -122,28 +131,29 @@ def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
     # of theta_bar's digits over the J-block mod p-1 (the block form is
     # the one equivalent to per-block feasibility; restricted digits are
     # not blockwise congruent to it when carrying crosses blocks)
-    eq_one = all(
+    eq_one = all([
         (sum(a[i0 * e:(i0 + 1) * e]) - sum(b_digits[i0::f])) % m == 0
         for i0 in range(f)
-    )
-
-    # exact row sums: weights over each Sigma_F fibre sum to a_sigma
-    det_on_units = all(sum(k[s * d:(s + 1) * d]) == a[s] for s in range(e * f))
+    ])
 
     if d > 1:
+        # exact row sums: weights over each Sigma_F fibre sum to a_sigma
+        det_on_units = [sum(k[i:i + d]) for i in range(0, e * f * d, d)] == a
         # column congruences: weights over each Sigma_E0 fibre match the
         # theta_bar digit mod p-1
         w = e * d
-        lifts_theta_bar = all(
+        lifts_theta_bar = all([
             (sum(k[i0 * w + l:(i0 + 1) * w:d]) - b_digits[i0 + f * l]) % m == 0
             for i0 in range(f)
             for l in range(d)
-        )
+        ])
         weights_distinct = len(set(k)) == len(k)
         blocks = [[abs(v) for v in k[i0 * w:(i0 + 1) * w]] for i0 in range(f)]
         block_separation = all(max(lo) < min(hi) for lo, hi in zip(blocks, blocks[1:]))
         regular = all(len(set(k[s * d:(s + 1) * d])) == d for s in range(e * f))
     else:
+        # each Sigma_F fibre is the one weight above it
+        det_on_units = k == a
         lifts_theta_bar = weights_distinct = block_separation = None
         regular = True
 

@@ -1,5 +1,6 @@
 import ast
 import copy
+import json
 import random
 import time
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import cryslift
+from cryslift import cli, lifting
 from cryslift.certio import (
     certificate_to_json,
     validate_certificate_schema,
@@ -28,7 +30,8 @@ def build_cert(p=3, f=1, e=1, d=2, t=None, b=5, a=(3,)):
 
 
 def random_cert(rng):
-    shapes = [(3, 1, 1, 2), (2, 1, 2, 3), (3, 2, 2, 2), (5, 1, 3, 2), (2, 2, 1, 2)]
+    shapes = [(3, 1, 1, 2), (2, 1, 2, 3), (3, 2, 2, 2), (5, 1, 3, 2), (2, 2, 1, 2),
+              (3, 1, 2, 1), (5, 2, 3, 1), (7, 1, 1, 1)]
     p, f, e, d = rng.choice(shapes)
     big_q = p ** (f * d)
     b = rng.randrange(big_q - 1)
@@ -74,14 +77,18 @@ class TestMutations:
     caught by the independent verifier."""
 
     def test_weight_perturbation_caught(self):
-        doc = certificate_to_json(build_cert())
-        for idx in range(len(doc["weights"])):
-            for delta in (1, -1):
-                mutated = copy.deepcopy(doc)
-                mutated["weights"][idx] = str(int(mutated["weights"][idx]) + delta)
-                ok, violations = verify_certificate(mutated)
-                assert not ok, (idx, delta)
-                assert any("det_on_units" in v for v in violations)
+        # d = 2, then d = 1, where k = a and det_on_units is the one check
+        # that reads the weights
+        for cert in (build_cert(), build_cert(3, 1, 2, 1, b=1, a=(1, 2)),
+                     build_cert(5, 2, 2, 1, b=7, a=(1, 1, 0, 1))):
+            doc = certificate_to_json(cert)
+            for idx in range(len(doc["weights"])):
+                for delta in (1, -1):
+                    mutated = copy.deepcopy(doc)
+                    mutated["weights"][idx] = str(int(mutated["weights"][idx]) + delta)
+                    ok, violations = verify_certificate(mutated)
+                    assert not ok, (cert.shape, idx, delta)
+                    assert "identity det_on_units fails on recomputation" in violations
 
     def test_uniformizer_sign_flip_caught(self):
         doc = certificate_to_json(build_cert())
@@ -108,15 +115,19 @@ class TestMutations:
 
     def test_mutation_battery_random_certs(self):
         rng = random.Random(17)
-        for _ in range(30):
+        degrees = set()
+        for _ in range(40):
             doc = certificate_to_json(random_cert(rng))
+            degrees.add(int(doc["shape"]["d"]))
             ok, violations = verify_certificate(doc)
             assert ok, violations
             # one weight, one exponent, one sign mutation per certificate
             m = copy.deepcopy(doc)
             i = rng.randrange(len(m["weights"]))
             m["weights"][i] = str(int(m["weights"][i]) + rng.choice([1, -1]))
-            assert not verify_certificate(m)[0]
+            ok, violations = verify_certificate(m)
+            assert not ok
+            assert "identity det_on_units fails on recomputation" in violations
             m = copy.deepcopy(doc)
             i = rng.randrange(len(m["psi"]["a"]))
             m["psi"]["a"][i] = str(int(m["psi"]["a"][i]) + 1)
@@ -124,6 +135,26 @@ class TestMutations:
             m = copy.deepcopy(doc)
             m["theta_uniformizer"]["sign"] *= -1
             assert not verify_certificate(m)[0]
+        assert degrees == {1, 2, 3}
+
+    def test_wrong_weights_at_d1_recorded_and_refused(self, monkeypatch, capsys):
+        """At d = 1 the builder's weights are a; a builder that gets them
+        wrong records det_on_units: False, and `cryslift lift` exits 4."""
+        build = lifting._build_weights
+
+        def off_by_one(b, a, shape):
+            k = build(b, a, shape)
+            return (k[0] + 1,) + k[1:]
+
+        monkeypatch.setattr(lifting, "_build_weights", off_by_one)
+        cert = build_cert(3, 1, 2, 1, b=1, a=(1, 2))
+        assert cert.weights == (2, 2)
+        assert cert.checks["det_on_units"] is False
+        assert [name for name, ok in cert.checks.items() if ok is False] == ["det_on_units"]
+        code = cli.main(["lift", "--p", "3", "--f", "1", "--e", "2", "--d", "1", "--t", "2",
+                         "--theta-bar", "1", "--a", "1,2"])
+        assert code == cli.EXIT_INTERNAL
+        assert json.loads(capsys.readouterr().out)["kind"] == "internal-invariant"
 
 
 class TestVerifierBounds:

@@ -352,6 +352,24 @@ def test_digits_large_prime_is_fast(capsys):
     assert code == 0 and doc["digits"] == ["5"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["digits", "--p", "3", "--f", str(cli.RESIDUE_DEGREE_MAX + 1), "--b", "5"],
+    ["lift", "--p", "3", "--f", "1", "--e", "1", "--d", str(cli.RESIDUE_DEGREE_MAX + 1),
+     "--t", "2", "--theta-bar", "0", "--a", "0"],
+    ["lift", "--p", "2", "--f", "2", "--e", "1", "--d", str(cli.RESIDUE_DEGREE_MAX // 2 + 1),
+     "--t", "3", "--theta-bar", "0", "--a", "0,0"],
+], ids=["digits-f", "lift-d", "lift-f*d"])
+def test_residue_degree_above_cap_exit_2(capsys, argv):
+    """One step above the cap is refused before any power of p; below it
+    no limit applies, which the other tests of digits and lift show."""
+    started = time.perf_counter()
+    code, doc = run_cli(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert doc["kind"] == "bad-input"
+    assert doc["error"].endswith(f"must be at most {cli.RESIDUE_DEGREE_MAX}")
+
+
 def test_digits_prime_above_2_64_exit_2(capsys):
     code, doc = run_cli(capsys, "digits", "--p", str(2 ** 64 + 13), "--f", "1", "--b", "5")
     assert code == 2 and doc["kind"] == "bad-input"

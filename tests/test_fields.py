@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -44,6 +47,19 @@ def test_all_p_minus_one_digits_rejected():
         DigitVector((1, 1), 2)
     with pytest.raises(ValueError):
         DigitVector((2, 2, 2), 3)
+
+
+def test_cached_q_keeps_identity():
+    """q = p^f is computed once, with the field.  It changes no ==, hash
+    or repr, rides along a pickle, and dataclasses.replace computes it anew."""
+    field, fresh = FiniteFieldSpec(3, 4), FiniteFieldSpec(3, 4)
+    assert field.q == 81
+    assert field == fresh and hash(field) == hash(fresh)
+    assert repr(field) == repr(fresh) == "FiniteFieldSpec(p=3, f=4)"
+    clone = pickle.loads(pickle.dumps(field))
+    assert clone == field and hash(clone) == hash(field) and clone.q == 81
+    assert dataclasses.replace(field, f=2).q == 9
+    assert dataclasses.replace(field, p=5).q == 625
 
 
 def test_digit_length_must_match_field():

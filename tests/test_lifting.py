@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import pickle
 import random
 
 import pytest
@@ -99,6 +101,30 @@ class TestLayout:
                 j for j in range(shape.size_E0) if j % f == i0]
             assert list(k[shape.E_block(i0)]) == [
                 k[t] for t, (sig, _) in enumerate(pairs) if sig // e == i0]
+
+    def test_cached_values_keep_identity(self):
+        """The per-shape slices and shape object are built once, on first
+        use.  They change no ==, hash or repr, ride along a pickle (the
+        sweep sends shapes to its workers by pickle), and
+        dataclasses.replace builds them anew."""
+        shape, fresh = make_shape(3, 2, 2, 3), make_shape(3, 2, 2, 3)
+        assert shape.F_blocks == [slice(0, 2), slice(2, 4)]
+        assert shape.J_blocks == [slice(0, 6, 2), slice(1, 6, 2)]
+        assert shape.E_blocks == [slice(0, 6), slice(6, 12)]
+        doc = shape.to_json()
+        assert doc == {"p": "3", "f": "2", "e": "2", "d": "3", "t": "8"}
+        doc["d"] = "4"  # each call returns a copy of its own
+        assert shape.to_json()["d"] == "3"
+        assert shape == fresh and hash(shape) == hash(fresh)
+        assert repr(shape) == repr(fresh) == "LocalFieldShape(p=3, f=2, e=2, d=3, t=8)"
+        clone = pickle.loads(pickle.dumps(shape))
+        assert clone == shape and hash(clone) == hash(shape)
+        assert (clone.F_blocks, clone.J_blocks, clone.E_blocks, clone.to_json()) == (
+            shape.F_blocks, shape.J_blocks, shape.E_blocks, shape.to_json())
+        wider = dataclasses.replace(shape, f=1, e=3, t=2)
+        for name in ("F_block", "J_block", "E_block"):
+            assert getattr(wider, name + "s") == [getattr(wider, name)(0)]
+        assert wider.to_json() == {"p": "3", "f": "1", "e": "3", "d": "3", "t": "2"}
 
     def test_invalid_shape_rejected(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,9 @@
 digit expansion per instance, its grid, its worker count and the rows
 that record="failures" keeps.
 
-The sweep digest predates the cut in the sweep's per-certificate work.
+The sweep digest predates the cut in the sweep's per-certificate work;
+the exhaustive sweep's digest predates the per-shape slices and the
+verifier's single-factor units.
 The certificate digest pins, for the shapes with e >= 2 and d >= 2, the
 weights of regular transport's one offset progression per i0-block.  Any
 drift in weights, units, recorded checks or the order of the sweep's
@@ -32,6 +34,10 @@ CERT_DIGEST = "f4cd0cb636f4aa59b2f3c26c2e038f75c8c18171723f0c98f8584d0428351cc0"
 SWEEP_CONFIG = dict(p_values=(2, 3, 5), f_max=2, e_max=2, d_max=3, t_with_p=True,
                     thetas_per_cell=6, seed=5, max_field_bits=8, record="all")
 SWEEP_DIGEST = "46da6b9150b754b058cd6280c7e82fe455d2360bf098c8dbdb2131a20c922946"
+# every theta_bar of every cell: d = 1, 2 and 3, with f = 1 and f = 2
+EXHAUSTIVE_CONFIG = dict(p_values=(2, 3, 5), f_max=2, e_max=2, d_max=3,
+                         thetas_per_cell=None, seed=3, max_field_bits=6, record="all")
+EXHAUSTIVE_DIGEST = "a5d9db24ea41b708f0f09b4baf89d2b2260173990ed829512c6dea001df7e082"
 U = UnitExpr.symbol("psi(varpi_F)")
 
 
@@ -66,6 +72,15 @@ def test_sweep_report_bytes_pinned(jobs):
     report = run_sweep(SweepConfig(jobs=jobs, **SWEEP_CONFIG))
     assert report["totals"]["failed"] == 0
     assert _sha256(dumps(report)) == SWEEP_DIGEST
+
+
+def test_exhaustive_sweep_bytes_pinned():
+    config = SweepConfig(**EXHAUSTIVE_CONFIG)
+    assert {(c.f, c.d) for c in iter_cells(config)} == {
+        (f, d) for f in (1, 2) for d in (1, 2, 3)}
+    report = run_sweep(config)
+    assert report["totals"] == {"instances": 376, "passed": 376, "failed": 0}
+    assert _sha256(dumps(report)) == EXHAUSTIVE_DIGEST
 
 
 @pytest.fixture

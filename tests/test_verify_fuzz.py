@@ -212,6 +212,11 @@ def _unit(dens):
                                      ["y", "-1", "2"]]})
 @example(obj={"sign": 1, "factors": [["x", "9" * 4000, "1"], ["x", "-" + "9" * 4000, "1"]]})
 @example(obj={"sign": -1, "factors": []})
+# one factor, as the builder writes: a zero exponent drops it, and a
+# denominator of "1\n" or "2" is read as a number
+@example(obj={"sign": 1, "factors": [["x", "0", "1"]]})
+@example(obj={"sign": -1, "factors": [["x", "5", "1\n"]]})
+@example(obj={"sign": 1, "factors": [["x", "3", "2"]]})
 def test_unit_normal_matches_fraction_reference(obj):
     got = _unit_normal(obj)
     assert got == _unit_normal_reference(obj)
