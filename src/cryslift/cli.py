@@ -32,7 +32,8 @@ EXIT_INTERNAL = 4
 # with int64 arrays of M entries, about 160 MB and 1-2 s per b at the limit.
 INDUCTION_M_MAX = 2 ** 22
 
-# Largest residue degree: f for `cryslift digits`, f*d for `cryslift lift`.
+# Largest residue degree: f for `cryslift digits`, f*d for `cryslift lift`,
+# and --max-field-bits for `cryslift sweep`, which bounds every cell's f*d.
 # Each computes p to that power and expands that many digits of theta_bar;
 # a lift at the limit takes about 0.4 s and 31 MB, and at 2^20 about 4 s.
 RESIDUE_DEGREE_MAX = 2 ** 16
@@ -192,6 +193,8 @@ def cmd_twist(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    # p >= 2 makes p^(f*d) <= 2^bits force f*d <= bits: the degree cap of lift
+    _check_degree(args.max_field_bits, "--max-field-bits")
     config = SweepConfig(
         p_values=tuple(_p_values(args.p_values, 2 ** args.max_field_bits)),
         f_max=args.f_max,
@@ -296,7 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="theta_bar exponents sampled per cell, or 'all' for every one")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--jobs", type=int, default=1)
-    s.add_argument("--max-field-bits", type=int, default=10)
+    s.add_argument("--max-field-bits", type=int, default=10,
+                   help="run the cells with p^(f*d) <= 2^max-field-bits; at most "
+                   f"{RESIDUE_DEGREE_MAX}")
     s.add_argument("--record", choices=["all", "failures"], default="all")
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_sweep)

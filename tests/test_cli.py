@@ -370,6 +370,26 @@ def test_residue_degree_above_cap_exit_2(capsys, argv):
     assert doc["error"].endswith(f"must be at most {cli.RESIDUE_DEGREE_MAX}")
 
 
+def test_sweep_max_field_bits_above_cap_exit_2(capsys):
+    """p >= 2 makes p^(f*d) <= 2^bits force f*d <= bits: one step above the
+    residue degree cap is refused before 2 is raised to it."""
+    started = time.perf_counter()
+    code, doc = run_cli(capsys, "sweep", "--max-field-bits", str(cli.RESIDUE_DEGREE_MAX + 1))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert doc == {"kind": "bad-input",
+                   "error": f"--max-field-bits must be at most {cli.RESIDUE_DEGREE_MAX}"}
+
+
+def test_sweep_max_field_bits_at_cap_runs(capsys, tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["sweep", "--max-field-bits", str(cli.RESIDUE_DEGREE_MAX), "--p-values", "2",
+                 "--f-max", "1", "--e-max", "1", "--d-max", "1", "--thetas-per-cell", "1",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["totals"] == {"instances": 1, "passed": 1, "failed": 0}
+
+
 def test_digits_prime_above_2_64_exit_2(capsys):
     code, doc = run_cli(capsys, "digits", "--p", str(2 ** 64 + 13), "--f", "1", "--b", "5")
     assert code == 2 and doc["kind"] == "bad-input"

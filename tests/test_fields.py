@@ -49,6 +49,29 @@ def test_all_p_minus_one_digits_rejected():
         DigitVector((2, 2, 2), 3)
 
 
+@pytest.mark.parametrize("p,f", SMALL_FIELDS)
+def test_digits_equal_validated_digit_vector(p, f):
+    """digits trusts the MultChar it expands: its vector equals the one
+    that the validating constructor builds from the same digits."""
+    field = FiniteFieldSpec(p, f)
+    for b in range(field.q - 1):
+        d = digits(MultChar(field, b))
+        checked = DigitVector(d.digits, p)
+        assert d == checked and hash(d) == hash(checked) and repr(d) == repr(checked)
+        assert type(d.digits) is tuple and all(type(x) is int for x in d.digits)
+
+
+@pytest.mark.parametrize("digits_, modulus", [
+    ((1, 0), 4), ((0,), 1), ((0,), 9),  # composite or unit modulus
+    ((3, 0), 3), ((0, -1), 3), ((5,), 5),  # a digit outside [0, p-1]
+    ((2, 2), 3), ((1,), 2), ((4, 4, 4), 5),  # all digits p-1
+    ((), 3),
+])
+def test_digit_vector_constructor_still_validates(digits_, modulus):
+    with pytest.raises(ValueError):
+        DigitVector(digits_, modulus)
+
+
 def test_cached_q_keeps_identity():
     """q = p^f is computed once, with the field.  It changes no ==, hash
     or repr, rides along a pickle, and dataclasses.replace computes it anew."""

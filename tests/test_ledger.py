@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -46,6 +47,30 @@ class TestUnitExpr:
         assert neg.negate() == u and hash(neg.negate()) == hash(u)
         with pytest.raises(dataclasses.FrozenInstanceError):
             neg.sign = 1
+
+    @pytest.mark.parametrize("u", [
+        UnitExpr.symbol("psi(varpi_F)"),
+        UnitExpr(-1, (("b", Fraction(-2, 3)), ("a", Fraction(5)))),
+        UnitExpr.one(),
+    ], ids=["symbol", "two-factors", "one"])
+    def test_json_and_negation_keep_identity(self, u):
+        """A unit that has written its JSON and negated itself keeps its
+        ==, hash, repr and pickle round trip, and each JSON is its own."""
+        fresh = UnitExpr(u.sign, u.factors)
+        first = u.to_json()
+        neg = u.negate()
+        assert u.to_json() == first and u.negate() == neg
+        assert u == fresh and hash(u) == hash(fresh) and repr(u) == repr(fresh)
+        assert neg.negate() == u and neg == UnitExpr(-u.sign, u.factors)
+        clone = pickle.loads(pickle.dumps(u))
+        assert clone == u and hash(clone) == hash(u) and repr(clone) == repr(u)
+        assert clone.to_json() == first and clone.negate() == neg
+        first["sign"] = 0
+        first["factors"].append(["z", "1", "1"])
+        for factor in first["factors"]:
+            factor[0] = "mutated"
+        assert u.to_json() == fresh.to_json()
+        assert u.negate().to_json() == UnitExpr(-u.sign, u.factors).to_json()
 
     def test_fractional_power_of_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,10 @@ the exhaustive sweep's digest predates the per-shape slices and the
 verifier's single-factor units.
 The certificate digest pins, for the shapes with e >= 2 and d >= 2, the
 weights of regular transport's one offset progression per i0-block.  Any
-drift in weights, units, recorded checks or the order of the sweep's
-random draws changes them.
+drift in weights, units or recorded checks changes them.  The report rows
+carry only id, pass and violations, and the certificate digest draws its
+exponents itself, so none of them sees the sweep's random draws: the draw
+digest pins those, as the determinant exponents each instance lifts.
 """
 
 import concurrent.futures
@@ -38,6 +40,7 @@ SWEEP_DIGEST = "46da6b9150b754b058cd6280c7e82fe455d2360bf098c8dbdb2131a20c922946
 EXHAUSTIVE_CONFIG = dict(p_values=(2, 3, 5), f_max=2, e_max=2, d_max=3,
                          thetas_per_cell=None, seed=3, max_field_bits=6, record="all")
 EXHAUSTIVE_DIGEST = "a5d9db24ea41b708f0f09b4baf89d2b2260173990ed829512c6dea001df7e082"
+DRAW_DIGEST = "5bf5bbee298eba31e3f2b3f148574db0e47cde6f10754a68324d6a90e809f636"
 U = UnitExpr.symbol("psi(varpi_F)")
 
 
@@ -81,6 +84,27 @@ def test_exhaustive_sweep_bytes_pinned():
     report = run_sweep(config)
     assert report["totals"] == {"instances": 376, "passed": 376, "failed": 0}
     assert _sha256(dumps(report)) == EXHAUSTIVE_DIGEST
+
+
+def test_sweep_draws_pinned(monkeypatch):
+    """The determinant exponents that run_cell draws, in order, on the
+    exhaustive grid, at the default bound and at a bound of 1 (a range of
+    3 redraws a quarter of its draws, one of 21 a third)."""
+    drawn = []
+    lift = sweep._lift
+
+    def recording(theta_bar, b, psi, shape):
+        drawn.append((shape.key, theta_bar.b, psi.a))
+        return lift(theta_bar, b, psi, shape)
+
+    monkeypatch.setattr(sweep, "_lift", recording)
+    for a_bound in (10, 1):
+        config = SweepConfig(a_bound=a_bound, **EXHAUSTIVE_CONFIG)
+        for cell in iter_cells(config):
+            assert all(row["pass"] for row in run_cell(cell, config))
+    assert len(drawn) == 2 * 376
+    assert {len(a) for _, _, a in drawn} == {1, 2, 4}
+    assert _sha256(repr(drawn)) == DRAW_DIGEST
 
 
 @pytest.fixture

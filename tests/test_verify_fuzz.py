@@ -10,6 +10,7 @@ integers and its unit factors.  The verifier must return a verdict,
 
 import contextlib
 import copy
+import importlib.util
 import io
 import json
 import time
@@ -24,6 +25,7 @@ from cryslift.certio import (
     certificate_to_json,
     validate_certificate_schema,
 )
+from cryslift import verify as verify_module
 from cryslift.cli import main
 from cryslift.fields import FiniteFieldSpec, MultChar, digits
 from cryslift.lifting import DetSpec, LocalFieldShape, irr_crys_lift
@@ -238,3 +240,119 @@ def test_det_at_uniformizer_fails_on_exponent_mismatch(cert, psi_exp, theta_exp)
     ok, violations = verify_certificate(doc)
     assert not ok
     assert "identity det_at_uniformizer fails on recomputation" in violations
+
+
+def _shaped(p, f, e, d, t_factor, b_seed):
+    doc = _cert_doc(p, f, e, d, b_seed % (p ** (f * d) - 1))
+    doc["shape"]["t"] = str(t_factor * (p ** f - 1))
+    return doc
+
+
+def _refused(doc, key, value):
+    doc = copy.deepcopy(doc)
+    doc["shape"][key] = value
+    return doc
+
+
+def _fresh_verifier():
+    """A fresh copy of the verifier's module: it imports nothing from the
+    package, so this is all of its state that a fresh interpreter holds."""
+    spec = importlib.util.spec_from_file_location("fresh_verify", verify_module.__file__)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.verify_certificate
+
+
+def test_verdicts_independent_of_earlier_documents():
+    """Documents verified one after another, shapes repeated, alternated,
+    refused and past the size of any cache of parsed shapes, get the
+    verdict that each gets from a fresh verifier."""
+    shaped = [_shaped(p, f, e, d, t_factor, 7 * p + 5 * e + d)
+              for p in (2, 3, 5, 7) for f in (1, 2) for e in (1, 2) for d in (1, 2, 3)
+              for t_factor in (1, p)]
+    assert len({json.dumps(doc["shape"], sort_keys=True) for doc in shaped}) == 96
+    assert 96 > getattr(verify_module, "SHAPE_CACHE_SIZE", 64)
+    base = shaped[1]  # p = 2, f = 1, e = 1, d = 1, t = 2
+    refused = [
+        _refused(base, "p", "4"),  # composite
+        _refused(base, "p", "9"),
+        _refused(base, "p", str(2 ** 64 + 13)),  # past the verifier's bound
+        _refused(base, "p", str(2 ** 64 - 59)),  # the largest prime below it
+        _refused(base, "t", "3"),  # a multiple of q-1 = 1: a pass
+        _refused(_shaped(3, 1, 1, 2, 1, 5), "t", "3"),  # not a multiple of q-1 = 2
+        _refused(base, "f", "0"),
+        _refused(base, "d", "-1"),
+        # the same shapes written with other strings
+        _refused(base, "p", "02"),
+        _refused(base, "p", "2\n"),
+        _refused(_shaped(3, 1, 1, 2, 1, 5), "d", "02"),
+    ]
+    # a shape seen before, with a list or an exponent that it refuses
+    short = copy.deepcopy(shaped[10])
+    short["weights"] = short["weights"][:-1]
+    past = copy.deepcopy(shaped[10])
+    past["theta_bar"]["b"] = str(int(past["shape"]["p"]) ** 2)
+    odd = [short, past]
+    sequence = (shaped[:4] + shaped[:4] + [doc for pair in zip(shaped[4:12], refused)
+                                           for doc in pair]
+                + shaped + refused + odd + shaped[::-1] + odd + refused[::-1])
+    verdicts = [verify_certificate(doc) for doc in sequence]
+    fresh = {}
+    for doc, verdict in zip(sequence, verdicts):
+        key = json.dumps(doc, sort_keys=True)
+        if key not in fresh:
+            fresh[key] = _fresh_verifier()(json.loads(key))
+        assert verdict == fresh[key]
+    assert sum(ok for ok, _ in verdicts) > len(sequence) // 2
+    assert {v[0] for ok, v in verdicts if not ok} >= {
+        "shape: p=4 is not prime",
+        f"shape: p={2 ** 64 + 13} is not below the verifier's bound 2^64",
+        "shape: f, e, d, t must all be >= 1",
+        "shape: t=3 not a multiple of q-1 = 3^1-1",
+    }
+
+
+def _checks_verdict(cert, change):
+    doc = copy.deepcopy(cert)
+    doc["checks"] = change(dict(doc["checks"]))
+    validate_certificate_schema(doc)
+    return verify_certificate(doc)
+
+
+def _without(name):
+    return lambda checks: {k: v for k, v in checks.items() if k != name}
+
+
+def _with(name, value):
+    return lambda checks: {**checks, name: value}
+
+
+@pytest.mark.parametrize("cert, change, expected", [
+    (CERTS[0], lambda checks: checks, (True, [])),
+    (CERTS[0], lambda checks: dict(reversed(checks.items())), (True, [])),
+    (CERTS[3], lambda checks: dict(reversed(checks.items())), (True, [])),
+    (CERTS[0], _without("regular"), (True, [])),
+    (CERTS[3], _without("lifts_theta_bar"), (True, [])),
+    (CERTS[0], lambda checks: {}, (True, [])),
+    (CERTS[0], _with("extra", True),
+     (False, ["unknown recorded check 'extra'"])),
+    (CERTS[0], _with("weights_distinct", False),
+     (False, ["recorded check weights_distinct=False disagrees with recomputed value True"])),
+    (CERTS[3], _with("regular", False),
+     (False, ["recorded check regular=False disagrees with recomputed value True"])),
+    (CERTS[3], _with("lifts_theta_bar", False),
+     (False, ["recorded check lifts_theta_bar=False disagrees with recomputed value None"])),
+    (CERTS[0], _with("block_separation", None),
+     (False, ["recorded check block_separation=None disagrees with recomputed value True"])),
+    (CERTS[3], _with("weights_distinct", True),
+     (False, ["recorded check weights_distinct=True disagrees with recomputed value None"])),
+    (CERTS[0], lambda checks: {"extra": None, **_without("det_on_units")(checks),
+                               "regular": None, "eq_one_compat": False},
+     (False, ["recorded check eq_one_compat=False disagrees with recomputed value True",
+              "recorded check regular=None disagrees with recomputed value True",
+              "unknown recorded check 'extra'"])),
+], ids=["as-built", "reordered", "reordered-d=1", "dropped", "dropped-d=1", "empty",
+        "unknown", "flipped", "flipped-d=1", "none-to-false-d=1", "true-to-none",
+        "none-to-true-d=1", "several"])
+def test_recorded_check_perturbations(cert, change, expected):
+    assert _checks_verdict(cert, change) == expected
