@@ -128,13 +128,17 @@ def digits(c: MultChar) -> DigitVector:
     The f digits express the character as a product of Frobenius-twisted
     powers of the generator embedding.
     """
-    p, f = c.field.p, c.field.f
-    b = c.b
+    p, b = c.field.p, c.b
     ds = []
-    for _ in range(f):
+    for _ in range(c.field.f):
         b, r = divmod(b, p)
         ds.append(r)
-    return DigitVector(tuple(ds), p)
+    # a valid c has a prime p and 0 <= b <= q-2, so the digits are in range
+    # and not all p-1: the vector skips DigitVector's checks
+    vector = object.__new__(DigitVector)
+    object.__setattr__(vector, "digits", tuple(ds))
+    object.__setattr__(vector, "modulus", p)
+    return vector
 
 
 def from_digits(d: DigitVector, field: FiniteFieldSpec) -> MultChar:

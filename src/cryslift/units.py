@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -51,11 +52,22 @@ class UnitExpr:
         return UnitExpr(sign, tuple((l, f * e) for l, f in self.factors))
 
     def negate(self) -> "UnitExpr":
+        return self._negation
+
+    # Built once per unit on first use, as the sweep writes and negates one
+    # unit for every instance of a cell; ==, hash and repr ignore them.
+    @cached_property
+    def _negation(self) -> "UnitExpr":
         # the factors are already normal: share them, skip __post_init__
         neg = object.__new__(UnitExpr)
         object.__setattr__(neg, "sign", -self.sign)
         object.__setattr__(neg, "factors", self.factors)
         return neg
+
+    @cached_property
+    def _json_factors(self) -> tuple[tuple[str, str, str], ...]:
+        return tuple((label, str(e.numerator), str(e.denominator))
+                     for label, e in self.factors)
 
     def root(self, d: int) -> "UnitExpr":
         """Formal d-th root; only principal (sign +1) units have one."""
@@ -66,10 +78,5 @@ class UnitExpr:
         return UnitExpr(1, tuple((l, e / d) for l, e in self.factors))
 
     def to_json(self) -> dict:
-        return {
-            "sign": self.sign,
-            "factors": [
-                [label, str(e.numerator), str(e.denominator)]
-                for label, e in self.factors
-            ],
-        }
+        """The wire format's unit object: a fresh dict and lists per call."""
+        return {"sign": self.sign, "factors": list(map(list, self._json_factors))}

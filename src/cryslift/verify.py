@@ -16,6 +16,7 @@ k[i0*e*d + l:(i0+1)*e*d:d].
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 
 
@@ -24,6 +25,9 @@ from operator import itemgetter
 P_BOUND = 2 ** 64
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _shape_fields = itemgetter("p", "f", "e", "d", "t")
+# Distinct shapes, as their five strings, whose parse the verifier keeps: a
+# sweep verifies every document of one shape in a row.
+SHAPE_CACHE_SIZE = 64
 
 
 def _is_prime(n: int) -> bool:
@@ -72,6 +76,24 @@ def _exponent(num: str, den: str) -> int | Fraction:
     return int(num) if den == 1 else Fraction(int(num), den)
 
 
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _parse_shape(fields: tuple) -> tuple[int, int, int, int, str | None] | str:
+    """(p, f, e, d, violation of t or None) from a shape's five strings, or
+    the text that refuses the shape.  A pure function of the strings, so
+    cached; its cost is bounded by theirs (q = p^f only when q-1 <= t)."""
+    p, f, e, d, t = map(int, fields)
+    if not p < P_BOUND:
+        return f"shape: p={p} is not below the verifier's bound 2^64"
+    if not _is_prime(p):
+        return f"shape: p={p} is not prime"
+    if min(f, e, d, t) < 1:
+        return "shape: f, e, d, t must all be >= 1"
+    # t is a multiple of q-1 = p^f-1 only if q-1 <= t
+    if not _pow_le(p, f, t + 1) or t % (p ** f - 1) != 0:
+        return p, f, e, d, f"shape: t={t} not a multiple of q-1 = {p}^{f}-1"
+    return p, f, e, d, None
+
+
 def _unit_normal(obj: dict) -> tuple[int, tuple[tuple[str, int | Fraction], ...]]:
     """Sign and merged, sorted, non-zero exponents of a unit."""
     factors = obj["factors"]
@@ -94,29 +116,20 @@ def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
     use :func:`cryslift.certio.validate_certificate_schema` first to
     distinguish malformed documents from failed checks.
     """
-    violations: list[str] = []
-
     # cheapest checks first: no power of p and no digit expansion before
     # the lengths of psi and weights bound f*d by the document's size
-    p, f, e, d, t = map(int, _shape_fields(obj["shape"]))
-    if not p < P_BOUND:
-        return False, [f"shape: p={p} is not below the verifier's bound 2^64"]
-    if not _is_prime(p):
-        return False, [f"shape: p={p} is not prime"]
-    if min(f, e, d, t) < 1:
-        return False, ["shape: f, e, d, t must all be >= 1"]
-    if len(obj["psi"]["a"]) != e * f:
-        return False, [f"psi has {len(obj['psi']['a'])} exponents, expected e*f "
-                       f"with e={e}, f={f}"]
-    if len(obj["weights"]) != e * f * d:
-        return False, [f"{len(obj['weights'])} weights, expected e*f*d "
-                       f"with e={e}, f={f}, d={d}"]
-    a = list(map(int, obj["psi"]["a"]))
-    k = list(map(int, obj["weights"]))
-
-    # t is a multiple of q-1 = p^f-1 only if q-1 <= t
-    if not _pow_le(p, f, t + 1) or t % (p ** f - 1) != 0:
-        violations.append(f"shape: t={t} not a multiple of q-1 = {p}^{f}-1")
+    shape = _parse_shape(_shape_fields(obj["shape"]))
+    if isinstance(shape, str):
+        return False, [shape]
+    p, f, e, d, t_violation = shape
+    a, k = obj["psi"]["a"], obj["weights"]
+    if len(a) != e * f:
+        return False, [f"psi has {len(a)} exponents, expected e*f with e={e}, f={f}"]
+    if len(k) != e * f * d:
+        return False, [f"{len(k)} weights, expected e*f*d with e={e}, f={f}, d={d}"]
+    a = list(map(int, a))
+    k = list(map(int, k))
+    violations = [t_violation] if t_violation else []
 
     b_exp = int(obj["theta_bar"]["b"])
     if b_exp < 0 or _pow_le(p, f * d, b_exp + 1):
@@ -137,20 +150,25 @@ def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
     ])
 
     if d > 1:
+        # the Sigma_F fibres k[s*d:(s+1)*d], as tuples
+        fibres = list(zip(*[iter(k)] * d))
         # exact row sums: weights over each Sigma_F fibre sum to a_sigma
-        det_on_units = [sum(k[i:i + d]) for i in range(0, e * f * d, d)] == a
+        det_on_units = list(map(sum, fibres)) == a
         # column congruences: weights over each Sigma_E0 fibre match the
-        # theta_bar digit mod p-1
-        w = e * d
+        # theta_bar digit mod p-1; the fibre of i0 + f*l is column l of
+        # the Sigma_F fibres above i0
         lifts_theta_bar = all([
-            (sum(k[i0 * w + l:(i0 + 1) * w:d]) - b_digits[i0 + f * l]) % m == 0
+            (s - bj) % m == 0
             for i0 in range(f)
-            for l in range(d)
+            for s, bj in zip(map(sum, zip(*fibres[i0 * e:(i0 + 1) * e])), b_digits[i0::f])
         ])
         weights_distinct = len(set(k)) == len(k)
-        blocks = [[abs(v) for v in k[i0 * w:(i0 + 1) * w]] for i0 in range(f)]
+        # one block (f = 1) is separated from no other
+        w = e * d
+        blocks = [[abs(v) for v in k[i0 * w:(i0 + 1) * w]] for i0 in range(f)] if f > 1 else []
         block_separation = all(max(lo) < min(hi) for lo, hi in zip(blocks, blocks[1:]))
-        regular = all(len(set(k[s * d:(s + 1) * d])) == d for s in range(e * f))
+        # distinct weights are distinct inside every fibre
+        regular = weights_distinct or all(len(set(fib)) == d for fib in fibres)
     else:
         # each Sigma_F fibre is the one weight above it
         det_on_units = k == a
@@ -158,11 +176,15 @@ def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
         regular = True
 
     # eq_three / (five): theta(varpi_E) == (-1)^(d-1) psi(varpi_F) as
-    # normalized unit expressions
-    psi_sign, psi_factors = _unit_normal(obj["psi"]["uniformizer"])
-    th_sign, th_factors = _unit_normal(obj["theta_uniformizer"])
+    # normalized unit expressions; equal factor lists, as the builder
+    # writes them, have equal normal forms
+    psi_unit, th_unit = obj["psi"]["uniformizer"], obj["theta_uniformizer"]
     twist_sign = 1 if (d - 1) % 2 == 0 else -1
-    det_at_uniformizer = th_factors == psi_factors and th_sign == twist_sign * psi_sign
+    det_at_uniformizer = (
+        (psi_unit["factors"] == th_unit["factors"]
+         or _unit_normal(psi_unit)[1] == _unit_normal(th_unit)[1])
+        and int(th_unit["sign"]) == twist_sign * int(psi_unit["sign"])
+    )
 
     recomputed = {
         "eq_one_compat": eq_one,
@@ -173,11 +195,13 @@ def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
         "block_separation": block_separation,
         "regular": regular,
     }
-    for name, value in recomputed.items():
-        if value is False:
-            violations.append(f"identity {name} fails on recomputation")
+    if False in recomputed.values():
+        violations += [f"identity {name} fails on recomputation"
+                       for name, value in recomputed.items() if value is False]
 
     recorded = obj["checks"]
+    if recorded == recomputed:  # every recorded value agrees, and none is unknown
+        return (not violations), violations
     for name, value in recomputed.items():
         if name in recorded and recorded[name] != value:
             violations.append(

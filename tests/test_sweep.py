@@ -40,7 +40,7 @@ SWEEP_DIGEST = "46da6b9150b754b058cd6280c7e82fe455d2360bf098c8dbdb2131a20c922946
 EXHAUSTIVE_CONFIG = dict(p_values=(2, 3, 5), f_max=2, e_max=2, d_max=3,
                          thetas_per_cell=None, seed=3, max_field_bits=6, record="all")
 EXHAUSTIVE_DIGEST = "a5d9db24ea41b708f0f09b4baf89d2b2260173990ed829512c6dea001df7e082"
-DRAW_DIGEST = "5bf5bbee298eba31e3f2b3f148574db0e47cde6f10754a68324d6a90e809f636"
+DRAW_DIGEST = "f76b96205c34e9c11aec2e8a13b286fc8593632fb7a881bbdcc74cf73525f391"
 U = UnitExpr.symbol("psi(varpi_F)")
 
 
@@ -88,8 +88,9 @@ def test_exhaustive_sweep_bytes_pinned():
 
 def test_sweep_draws_pinned(monkeypatch):
     """The determinant exponents that run_cell draws, in order, on the
-    exhaustive grid, at the default bound and at a bound of 1 (a range of
-    3 redraws a quarter of its draws, one of 21 a third)."""
+    exhaustive grid, at the default bound and at bounds of 1 and 0 (ranges
+    of 21, 3 and 1 integers redraw a third, a quarter and half of their
+    draws)."""
     drawn = []
     lift = sweep._lift
 
@@ -98,13 +99,20 @@ def test_sweep_draws_pinned(monkeypatch):
         return lift(theta_bar, b, psi, shape)
 
     monkeypatch.setattr(sweep, "_lift", recording)
-    for a_bound in (10, 1):
+    for a_bound in (10, 1, 0):
         config = SweepConfig(a_bound=a_bound, **EXHAUSTIVE_CONFIG)
         for cell in iter_cells(config):
             assert all(row["pass"] for row in run_cell(cell, config))
-    assert len(drawn) == 2 * 376
+    assert len(drawn) == 3 * 376
     assert {len(a) for _, _, a in drawn} == {1, 2, 4}
     assert _sha256(repr(drawn)) == DRAW_DIGEST
+
+
+def test_negative_a_bound_refused():
+    """An empty range of exponents is refused with the config, as the
+    draws would never end in it."""
+    with pytest.raises(ValueError, match="a_bound must be >= 0"):
+        SweepConfig(a_bound=-1)
 
 
 @pytest.fixture
