@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from .errors import InfeasibleError
 from .fields import FiniteFieldSpec, MultChar, digits, is_prime
@@ -134,11 +135,11 @@ class LocalFieldShape:
         return list(map(self.E_block, range(self.f)))
 
     def F_fibres(self, k: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """The Sigma_F fibres of the Sigma_E-indexed k: fibre s is
-        k[s*d:(s+1)*d].  Column l of the fibres in F_block(i0) is the
+        """The Sigma_F fibres of the Sigma_E-indexed k, as tuples: fibre s
+        is k[s*d:(s+1)*d].  Column l of the fibres in F_block(i0) is the
         Sigma_E0 fibre of i0 + f*l."""
-        d = self.d
-        return [k[i:i + d] for i in range(0, self.size_E, d)]
+        # zip takes d items at a time from one iterator: k's d-slices
+        return list(zip(*[iter(k)] * self.d))
 
 
 @dataclass(frozen=True)
@@ -215,11 +216,11 @@ def _build_weights(b: tuple[int, ...], a: tuple[int, ...],
     if shape.d == 1:
         return tuple(a)
     k: list[int] = []
-    C = 0
-    for F, J, E in zip(shape.F_blocks, shape.J_blocks, shape.E_blocks):
-        for row in regular_transport(a[F], b[J], shape.p - 1, C):
-            k.extend(row)
-        C = max(map(abs, k[E]))  # the block lies above the last C
+    C, m = 0, shape.p - 1
+    for F, J in zip(shape.F_blocks, shape.J_blocks):
+        block = list(chain.from_iterable(regular_transport(a[F], b[J], m, C)))
+        k += block
+        C = max(map(abs, block))  # the next block lies above this one
     return tuple(k)
 
 
