@@ -77,7 +77,7 @@ def _exponent(num: str, den: str) -> int | Fraction:
 
 
 @lru_cache(maxsize=SHAPE_CACHE_SIZE)
-def _parse_shape(fields: tuple) -> tuple[int, int, int, int, str | None] | str:
+def _parse_shape(fields: tuple[str, ...]) -> tuple[int, int, int, int, str | None] | str:
     """(p, f, e, d, violation of t or None) from a shape's five strings, or
     the text that refuses the shape.  A pure function of the strings, so
     cached; its cost is bounded by theirs (q = p^f only when q-1 <= t)."""
@@ -150,25 +150,23 @@ def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
     ])
 
     if d > 1:
-        # the Sigma_F fibres k[s*d:(s+1)*d], as tuples
-        fibres = list(zip(*[iter(k)] * d))
         # exact row sums: weights over each Sigma_F fibre sum to a_sigma
-        det_on_units = list(map(sum, fibres)) == a
+        det_on_units = [sum(k[i:i + d]) for i in range(0, e * f * d, d)] == a
         # column congruences: weights over each Sigma_E0 fibre match the
-        # theta_bar digit mod p-1; the fibre of i0 + f*l is column l of
-        # the Sigma_F fibres above i0
+        # theta_bar digit mod p-1
+        w = e * d
         lifts_theta_bar = all([
-            (s - bj) % m == 0
+            (sum(k[i0 * w + l:(i0 + 1) * w:d]) - b_digits[i0 + f * l]) % m == 0
             for i0 in range(f)
-            for s, bj in zip(map(sum, zip(*fibres[i0 * e:(i0 + 1) * e])), b_digits[i0::f])
+            for l in range(d)
         ])
         weights_distinct = len(set(k)) == len(k)
-        # one block (f = 1) is separated from no other
-        w = e * d
-        blocks = [[abs(v) for v in k[i0 * w:(i0 + 1) * w]] for i0 in range(f)] if f > 1 else []
-        block_separation = all(max(lo) < min(hi) for lo, hi in zip(blocks, blocks[1:]))
-        # distinct weights are distinct inside every fibre
-        regular = weights_distinct or all(len(set(fib)) == d for fib in fibres)
+        if f > 1:
+            blocks = [[abs(v) for v in k[i0 * w:(i0 + 1) * w]] for i0 in range(f)]
+            block_separation = all(max(lo) < min(hi) for lo, hi in zip(blocks, blocks[1:]))
+        else:  # one block is separated from no other
+            block_separation = True
+        regular = all(len(set(k[s * d:(s + 1) * d])) == d for s in range(e * f))
     else:
         # each Sigma_F fibre is the one weight above it
         det_on_units = k == a
