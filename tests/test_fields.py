@@ -64,10 +64,11 @@ def test_digits_equal_validated_digit_vector(p, f):
 @pytest.mark.parametrize("digits_, modulus", [
     ((1, 0), 4), ((0,), 1), ((0,), 9),  # composite or unit modulus
     ((3, 0), 3), ((0, -1), 3), ((5,), 5),  # a digit outside [0, p-1]
-    ((2, 2), 3), ((1,), 2), ((4, 4, 4), 5),  # all digits p-1
     ((), 3),
 ])
 def test_digit_vector_constructor_still_validates(digits_, modulus):
+    """The constructor checks what digits trusts; the all-(p-1) vector is
+    test_all_p_minus_one_digits_rejected's."""
     with pytest.raises(ValueError):
         DigitVector(digits_, modulus)
 
