@@ -33,6 +33,10 @@ from .verify import verify_certificate
 # many cells.
 CHUNKS_PER_WORKER = 16
 
+# The determinant's value at the uniformizer in every cell: one unit per
+# process writes its JSON and its negation once.
+PSI_UNIFORMIZER = UnitExpr.symbol("psi(varpi_F)")
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -121,14 +125,13 @@ def run_cell(shape: LocalFieldShape, config: SweepConfig) -> list[dict]:
     else:
         bs = sorted(rng.sample(range(big_q - 1), config.thetas_per_cell))
     field_E = shape.residue_field_E
-    psi_unif = UnitExpr.symbol("psi(varpi_F)")
     key = shape.key
     rows = []
     for b in bs:
         theta_bar = MultChar(field_E, b)
         b_digits = digits(theta_bar).digits
         a = _force_compat(rng, shape, b_digits, config.a_bound)
-        psi = DetSpec(a, psi_unif)
+        psi = DetSpec(a, PSI_UNIFORMIZER)
         row_id = f"{key},b={b}"
         try:
             # one digit expansion per instance: the lift reuses b_digits

@@ -51,13 +51,19 @@ def _check(a: list[int], b: list[int], m: int | None = None, C: int = 0) -> None
         )
 
 
-def _exact_rows(a: list[int], b: list[int]) -> list[list[int]]:
-    """Row i < n-1 places its whole total a_i in column 0; the last row is
-    whatever remains of b.  (Induction with lowest-index tie-breaks.)"""
+def _last_row(a: list[int], b: list[int]) -> list[int]:
+    """The last row of the exact base: row i < n-1 places its whole total
+    a_i in column 0, and the last row is whatever remains of b.
+    (Induction with lowest-index tie-breaks.)"""
     last = list(b)
     last[0] -= sum(a[:-1])
+    return last
+
+
+def _exact_rows(a: list[int], b: list[int]) -> list[list[int]]:
+    """The exact base: row i < n-1 is a_i then zeros, then _last_row."""
     zeros = [0] * (len(b) - 1)
-    return [[x] + zeros for x in a[:-1]] + [last]
+    return [[x] + zeros for x in a[:-1]] + [_last_row(a, b)]
 
 
 def transport(a: list[int], b: list[int]) -> list[list[int]]:
@@ -97,8 +103,7 @@ def regular_transport(a: list[int], b: list[int], m: int, C: int) -> list[list[i
 
     # Exact column targets congruent to b: keep b_j for j < k-1, dump the
     # correction into the last column (stays in its residue class mod m).
-    rows = _exact_rows(a, [*b[:-1], sum(a) - sum(b[:-1])])
-    last = rows[-1]
+    last = _last_row(a, [*b[:-1], sum(a) - sum(b[:-1])])
     top = max(map(abs, last))
     kept = len(set(last)) == k and min(map(abs, last)) > C
     B = max([top, *map(abs, a[:-1])])
@@ -106,12 +111,17 @@ def regular_transport(a: list[int], b: list[int], m: int, C: int) -> list[list[i
     T = ((top if kept else C) + B) // m + 1
     if k % 2:
         T = max(T, s * w * (n - 1))
-    # the offsets scale with T and s: m*y is the offsets of m*T and m*s
+    # the offsets scale with T and s: m*y is the offsets of m*T and m*s;
+    # base row i < n-1 is a_i then zeros, so its row is y with a_i added
     T, s = m * T, m * s
-    entries = [[x + o for x, o in zip(base, _offsets(k, T + s * w * i, s))]
-               for i, base in enumerate(rows[:-1] if kept else rows)]
-    if kept:
-        entries.append(last)
+    entries = []
+    for i, x in enumerate(a[:-1]):
+        row = _offsets(k, T + s * w * i, s)
+        row[0] += x
+        entries.append(row)
+    if not kept:
+        last = [x + o for x, o in zip(last, _offsets(k, T + s * w * (n - 1), s))]
+    entries.append(last)
     return entries
 
 
