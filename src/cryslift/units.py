@@ -55,7 +55,7 @@ class UnitExpr:
         return self._negation
 
     # Built once per unit on first use, as the sweep writes and negates one
-    # unit for every instance of a cell; ==, hash and repr ignore them.
+    # unit for every instance; ==, hash and repr ignore them.
     @cached_property
     def _negation(self) -> "UnitExpr":
         # the factors are already normal: share them, skip __post_init__
