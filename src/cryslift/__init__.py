@@ -21,7 +21,6 @@ from .fields import (
     digits,
     from_digits,
     norm_exponent,
-    restrict,
 )
 from .induction import FrobeniusModel, MonomialRep, det_of, induce, verify_det_induction
 from .ledger import (
@@ -35,7 +34,6 @@ from .lifting import (
     DetSpec,
     LiftCertificate,
     LocalFieldShape,
-    compat_check,
     irr_crys_lift,
 )
 from .transport import regular_transport, verify_assignment

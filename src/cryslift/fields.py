@@ -150,21 +150,6 @@ def from_digits(d: DigitVector, field: FiniteFieldSpec) -> MultChar:
     return MultChar(field, d.value())
 
 
-def restrict(c: MultChar, subfield: FiniteFieldSpec) -> MultChar:
-    """Restrict a character of F_{q^d}^x to the subfield F_q^x.
-
-    Since x^q = x on the subfield, the restricted exponent is b mod q-1.
-    """
-    if subfield.p != c.field.p:
-        raise ValueError("subfield has different characteristic")
-    if c.field.f % subfield.f != 0:
-        raise ValueError(
-            f"F_{{{subfield.p}^{subfield.f}}} is not a subfield of "
-            f"F_{{{c.field.p}^{c.field.f}}}"
-        )
-    return MultChar(subfield, c.b % (subfield.q - 1))
-
-
 def norm_exponent(q: int, d: int) -> int:
     """Exponent of the norm map from F_{q^d}^x to F_q^x: 1 + q + ... + q^(d-1)."""
     if q < 2 or d < 1:

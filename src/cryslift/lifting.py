@@ -178,22 +178,8 @@ def _digits(theta_bar: MultChar, shape: LocalFieldShape) -> tuple[int, ...]:
 
 
 def _compat(b: tuple[int, ...], psi: DetSpec, shape: LocalFieldShape) -> bool:
-    """The compatibility congruence of psi against theta_bar's digits b."""
-    if len(psi.a) != shape.size_F:
-        raise ValueError(
-            f"determinant exponent tuple has length {len(psi.a)}, "
-            f"expected |Sigma_F| = {shape.size_F}"
-        )
-    # p = 2 makes the modulus 1 and the condition vacuous
-    m = shape.p - 1
-    for F, J in zip(shape.F_blocks, shape.J_blocks):
-        if (sum(psi.a[F]) - sum(b[J])) % m:
-            return False
-    return True
-
-
-def compat_check(theta_bar: MultChar, psi: DetSpec, shape: LocalFieldShape) -> bool:
-    """Residue compatibility of (theta_bar, psi) in exponent form.
+    """Residue compatibility of psi against theta_bar's digits b, in
+    exponent form.
 
     For each unramified block i0 the determinant exponents above i0 must
     sum, mod p-1, to the total of theta_bar's digits over the J-block of
@@ -205,7 +191,17 @@ def compat_check(theta_bar: MultChar, psi: DetSpec, shape: LocalFieldShape) -> b
     one that is exactly equivalent to per-block feasibility of the weight
     construction; the two forms agree whenever f = 1 or d = 1.
     """
-    return _compat(_digits(theta_bar, shape), psi, shape)
+    if len(psi.a) != shape.size_F:
+        raise ValueError(
+            f"determinant exponent tuple has length {len(psi.a)}, "
+            f"expected |Sigma_F| = {shape.size_F}"
+        )
+    # p = 2 makes the modulus 1 and the condition vacuous
+    m = shape.p - 1
+    for F, J in zip(shape.F_blocks, shape.J_blocks):
+        if (sum(psi.a[F]) - sum(b[J])) % m:
+            return False
+    return True
 
 
 def _build_weights(b: tuple[int, ...], a: tuple[int, ...],

@@ -37,6 +37,11 @@ CHUNKS_PER_WORKER = 16
 # process writes its JSON and its negation once.
 PSI_UNIFORMIZER = UnitExpr.symbol("psi(varpi_F)")
 
+# A cell takes about 150 B before it runs, and e_max has no other bound,
+# so iter_cells counts the grid by arithmetic and refuses a larger one
+# before building any cell.  Criterion 4's grid has 1,416 cells.
+SWEEP_CELLS_MAX = 2 ** 16
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -69,9 +74,12 @@ class SweepConfig:
 
 
 def iter_cells(config: SweepConfig) -> list[LocalFieldShape]:
-    """The grid's cells in order, each distinct prime of p_values once."""
-    cells = []
+    """The grid's cells in order, each distinct prime of p_values once.
+    A grid of more than SWEEP_CELLS_MAX cells is refused before any cell
+    is built."""
     cap = 2 ** config.max_field_bits
+    cells_per_fd = config.e_max * (2 if config.t_with_p else 1)
+    count, groups = 0, []
     # p^f and p^(f*d) only grow with f and d, so both loops stop at the cap
     for p in sorted(set(config.p_values)):
         for f in range(1, config.f_max + 1):
@@ -81,11 +89,12 @@ def iter_cells(config: SweepConfig) -> list[LocalFieldShape]:
             for d in range(1, config.d_max + 1):
                 if q ** d > cap:
                     break
-                ts = [q - 1] + ([p * (q - 1)] if config.t_with_p else [])
-                for e in range(1, config.e_max + 1):
-                    for t in ts:
-                        cells.append(LocalFieldShape(p, f, e, d, t))
-    return cells
+                count += cells_per_fd
+                if count > SWEEP_CELLS_MAX:
+                    raise ValueError(f"the sweep grid has more than {SWEEP_CELLS_MAX} cells")
+                groups.append((p, f, d, [q - 1] + ([p * (q - 1)] if config.t_with_p else [])))
+    return [LocalFieldShape(p, f, e, d, t) for p, f, d, ts in groups
+            for e in range(1, config.e_max + 1) for t in ts]
 
 
 def _force_compat(

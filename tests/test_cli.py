@@ -3,15 +3,19 @@ import dataclasses
 import json
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import cryslift
 from cryslift import cli
 from cryslift.cli import main
 from cryslift.lifting import DetSpec, irr_crys_lift
+from cryslift.sweep import SWEEP_CELLS_MAX
 from cryslift.transport import verify_assignment
 from cryslift.units import UnitExpr
 
@@ -188,6 +192,24 @@ def test_verify_round_trip(capsys, tmp_path):
         code, result = run_cli(capsys, "verify", str(path))
         assert code == 0
         assert result["pass"]
+
+
+@pytest.mark.parametrize("checks, code, violations", [
+    ({}, 0, []),
+    ({"regular": True}, 0, []),
+    ({"regular": False}, 3,
+     ["recorded check regular=False disagrees with recomputed value True"]),
+    ({"regular": True, "extra": True}, 3, ["unknown recorded check 'extra'"]),
+], ids=["none", "only-regular", "wrong-value", "unknown-name"])
+def test_verify_recorded_checks_may_be_left_out(capsys, tmp_path, checks, code, violations):
+    """The verdict rests on recomputation: a certificate may leave out any
+    recorded check, but each one it records must agree and be known."""
+    _, doc = run_cli(capsys, *LIFT_ARGV)
+    doc["checks"] = checks
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, "verify", str(path)) == (
+        code, {"pass": code == 0, "violations": violations})
 
 
 def test_verify_mutated_exit_3(capsys, tmp_path):
@@ -379,6 +401,25 @@ def test_sweep_max_field_bits_above_cap_exit_2(capsys):
     assert code == 2
     assert doc == {"kind": "bad-input",
                    "error": f"--max-field-bits must be at most {cli.RESIDUE_DEGREE_MAX}"}
+
+
+def test_sweep_e_max_above_cell_cap_exit_2():
+    """e_max has no bound of its own: a grid of 10^8 cells is refused (2)
+    before any cell is built, in a child process with 1 GB of address
+    space, within a second."""
+    code = ("import resource, sys; sys.path.insert(0, sys.argv[1]); "
+            "resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9)); "
+            "from cryslift.cli import main; sys.exit(main(sys.argv[2:]))")
+    src = str(Path(cryslift.__file__).resolve().parent.parent)
+    argv = ["sweep", "--p-values", "2", "--f-max", "1", "--e-max", "100000000",
+            "--d-max", "1", "--thetas-per-cell", "1"]
+    started = time.perf_counter()
+    out = subprocess.run([sys.executable, "-c", code, src, *argv],
+                         capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - started < 1.0
+    assert out.returncode == 2, out.stderr
+    assert json.loads(out.stdout) == {
+        "kind": "bad-input", "error": f"the sweep grid has more than {SWEEP_CELLS_MAX} cells"}
 
 
 def test_sweep_max_field_bits_at_cap_runs(capsys, tmp_path):

@@ -12,7 +12,6 @@ from cryslift.fields import (
     from_digits,
     is_prime,
     norm_exponent,
-    restrict,
 )
 
 SMALL_FIELDS = [
@@ -105,37 +104,6 @@ def test_round_trip_exhaustive(p, f):
         seen.add(d.digits)
     # every canonical digit vector is hit: p^f - 1 of them
     assert len(seen) == field.q - 1
-
-
-@pytest.mark.parametrize("p,f", [(p, f) for p, f in SMALL_FIELDS if f > 1])
-def test_restriction_consistency_exhaustive(p, f):
-    # exponent of the restriction agrees with evaluation at every element
-    # of the subfield's multiplicative group, realized as exponents
-    for f_sub in [g for g in range(1, f) if f % g == 0]:
-        big = FiniteFieldSpec(p, f)
-        small = FiniteFieldSpec(p, f_sub)
-        # subfield^x sits inside big^x as the subgroup of index (q^d-1)/(q-1)
-        embed = (big.q - 1) // (small.q - 1)
-        for b in range(big.q - 1):
-            r = restrict(MultChar(big, b), small)
-            for h in range(small.q - 1):
-                # element with subfield exponent h has big-field exponent h*embed
-                assert b * (h * embed) % (big.q - 1) == (
-                    r.b * h % (small.q - 1)
-                ) * embed % (big.q - 1)
-
-
-def test_restrict_examples():
-    assert restrict(MultChar(FiniteFieldSpec(3, 2), 5), FiniteFieldSpec(3, 1)).b == 1
-    assert restrict(MultChar(FiniteFieldSpec(3, 2), 0), FiniteFieldSpec(3, 1)).b == 0
-    assert restrict(MultChar(FiniteFieldSpec(2, 4), 3), FiniteFieldSpec(2, 2)).b == 0
-
-
-def test_restrict_incompatible_fields():
-    with pytest.raises(ValueError):
-        restrict(MultChar(FiniteFieldSpec(3, 2), 5), FiniteFieldSpec(2, 1))
-    with pytest.raises(ValueError):
-        restrict(MultChar(FiniteFieldSpec(3, 3), 5), FiniteFieldSpec(3, 2))
 
 
 def test_norm_exponent():

@@ -113,6 +113,24 @@ class TestWeightProfile:
         )
 
 
+def check_least_shift(prof1, prof2, p):
+    """shift_for_extension against arithmetic of this test's own: the
+    shifted weights, the determinant shifts and their cancellation, the
+    separation on every embedding, and that N - 1 would not separate."""
+    N, s1, s2, ledger = shift_for_extension(prof1, prof2, p)
+    d1, d2, step = prof1.dim, prof2.dim, p - 1
+    assert s1.weights == tuple(tuple(w + d2 * step * N for w in t) for t in prof1.weights)
+    assert s2.weights == tuple(tuple(w - d1 * step * N for w in t) for t in prof2.weights)
+    for t1, t2, u1, u2 in zip(prof1.weights, prof2.weights, s1.weights, s2.weights):
+        assert min(u1) > 0 > max(u2)
+        assert sum(u1) - sum(t1) == ledger["det_shift_1"] == d1 * d2 * step * N
+        assert sum(u2) - sum(t2) == ledger["det_shift_2"]
+        assert sum(u1) + sum(u2) == sum(t1) + sum(t2)
+    if N >= 1:
+        assert (min(prof1.all_weights()) + d2 * step * (N - 1) <= 0
+                or max(prof2.all_weights()) - d1 * step * (N - 1) >= 0)
+
+
 class TestShiftForExtension:
     def test_worked_example(self):
         N, p1, p2, ledger = shift_for_extension(
@@ -121,7 +139,8 @@ class TestShiftForExtension:
         assert N == 3
         assert p1.weights == ((4,),)
         assert p2.weights == ((-2,),)
-        assert ledger["det_shift_1"] == 6
+        assert ledger == {"N": 3, "cyclotomic_step": 2, "det_shift_1": 6, "det_shift_2": -6,
+                          "det_sum_preserved": True, "slightly_less": True}
 
     def test_already_separated(self):
         N, *_ = shift_for_extension(
@@ -144,18 +163,7 @@ class TestShiftForExtension:
             p = rng.choice([2, 3, 5, 7])
             w1 = tuple(sorted((rng.randint(-20, 20) for _ in range(d1)), reverse=True))
             w2 = tuple(sorted((rng.randint(-20, 20) for _ in range(d2)), reverse=True))
-            prof1, prof2 = WeightProfile((w1,)), WeightProfile((w2,))
-            N, s1, s2, ledger = shift_for_extension(prof1, prof2, p)
-            assert all(w > 0 for w in s1.all_weights())
-            assert all(w < 0 for w in s2.all_weights())
-            assert ledger["det_sum_preserved"]
-            assert ledger["slightly_less"]
-            if N >= 1:
-                bad1 = twist(prof1, d2 * (p - 1) * (N - 1))
-                bad2 = twist(prof2, -d1 * (p - 1) * (N - 1))
-                assert any(w <= 0 for w in bad1.all_weights()) or any(
-                    w >= 0 for w in bad2.all_weights()
-                )
+            check_least_shift(WeightProfile((w1,)), WeightProfile((w2,)), p)
 
     def test_wide_weights_in_closed_form(self):
         started = time.perf_counter()
@@ -182,17 +190,7 @@ class TestShiftForExtension:
                                       min_size=n, max_size=n))
             return WeightProfile(tuple(tuple(sorted(r, reverse=True)) for r in rows))
 
-        prof1, prof2 = profile(d1), profile(d2)
-        N, s1, s2, ledger = shift_for_extension(prof1, prof2, p)
-        assert all(w > 0 for w in s1.all_weights())
-        assert all(w < 0 for w in s2.all_weights())
-        assert ledger["slightly_less"] and ledger["det_sum_preserved"]
-        if N >= 1:
-            bad1 = twist(prof1, d2 * (p - 1) * (N - 1))
-            bad2 = twist(prof2, -d1 * (p - 1) * (N - 1))
-            assert any(w <= 0 for w in bad1.all_weights()) or any(
-                w >= 0 for w in bad2.all_weights()
-            )
+        check_least_shift(profile(d1), profile(d2), p)
 
     def test_p_below_2_rejected(self):
         with pytest.raises(ValueError):

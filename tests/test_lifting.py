@@ -11,7 +11,6 @@ from cryslift.fields import FiniteFieldSpec, MultChar, digits
 from cryslift.lifting import (
     DetSpec,
     LocalFieldShape,
-    compat_check,
     irr_crys_lift,
 )
 from cryslift.sweep import SweepConfig, run_sweep
@@ -134,25 +133,29 @@ class TestLayout:
 
 
 class TestCompatCheck:
+    """The compatibility congruence, through the builder: a compatible
+    input gets a certificate that records it, an incompatible one none."""
+
     def test_known_example_true(self):
         shape = make_shape(3, 1, 1, 2, 2)
         tb = MultChar(FiniteFieldSpec(3, 2), 5)
-        assert compat_check(tb, DetSpec((3,), U), shape)
+        assert irr_crys_lift(tb, DetSpec((3,), U), shape).checks["eq_one_compat"] is True
 
     def test_known_example_false(self):
         shape = make_shape(3, 1, 1, 2, 2)
         tb = MultChar(FiniteFieldSpec(3, 2), 5)
-        assert not compat_check(tb, DetSpec((4,), U), shape)
+        with pytest.raises(InfeasibleError, match="incompatible"):
+            irr_crys_lift(tb, DetSpec((4,), U), shape)
 
     def test_trivial_character(self):
         shape = make_shape(3, 1, 1, 2, 2)
         tb = MultChar(FiniteFieldSpec(3, 2), 0)
-        assert compat_check(tb, DetSpec((0,), U), shape)
+        assert irr_crys_lift(tb, DetSpec((0,), U), shape).checks["eq_one_compat"] is True
 
     def test_wrong_residue_field(self):
         shape = make_shape(3, 1, 1, 2, 2)
         with pytest.raises(ValueError):
-            compat_check(
+            irr_crys_lift(
                 MultChar(FiniteFieldSpec(3, 1), 1),
                 DetSpec((0,), U),
                 shape,
@@ -164,9 +167,8 @@ class TestCompatCheck:
         shape = make_shape(3, 2, 2, 2)
         tb = MultChar(FiniteFieldSpec(3, 4), 5)
         psi = DetSpec((0,) * n, U)
-        for build in (compat_check, irr_crys_lift):
-            with pytest.raises(ValueError, match=rf"length {n}, expected \|Sigma_F\| = 4"):
-                build(tb, psi, shape)
+        with pytest.raises(ValueError, match=rf"length {n}, expected \|Sigma_F\| = 4"):
+            irr_crys_lift(tb, psi, shape)
 
 
 def check_lift_conditions(k, theta_bar, a, shape):

@@ -25,7 +25,7 @@ from cryslift import lifting, sweep
 from cryslift.certio import certificate_to_json, dumps
 from cryslift.fields import FiniteFieldSpec, MultChar, digits, is_prime
 from cryslift.lifting import DetSpec, LocalFieldShape, irr_crys_lift
-from cryslift.sweep import SweepConfig, iter_cells, run_cell, run_sweep
+from cryslift.sweep import SWEEP_CELLS_MAX, SweepConfig, iter_cells, run_cell, run_sweep
 from cryslift.units import UnitExpr
 
 # (p, f, e, d): d = 1, odd d, even d, and f > 1 for each
@@ -171,6 +171,17 @@ def test_iter_cells_stops_at_cap():
                                    t_with_p=True, max_field_bits=4))
     assert time.perf_counter() - started < 1
     assert cells == scan
+
+
+def test_iter_cells_refuses_grid_above_cap():
+    # p = 2, f = d = 1 is the one (p, f, d) under a cap of 2^1
+    one_fd = dict(p_values=(2,), f_max=1, d_max=1, max_field_bits=1)
+    cells = iter_cells(SweepConfig(e_max=SWEEP_CELLS_MAX // 2, t_with_p=True, **one_fd))
+    assert len(cells) == SWEEP_CELLS_MAX
+    for config in (dict(e_max=SWEEP_CELLS_MAX // 2 + 1, t_with_p=True),
+                   dict(e_max=10 ** 12)):
+        with pytest.raises(ValueError, match=f"more than {SWEEP_CELLS_MAX} cells"):
+            iter_cells(SweepConfig(**config, **one_fd))
 
 
 def test_iter_cells_visits_each_prime_once():
