@@ -22,7 +22,7 @@ from .fields import (
     from_digits,
     norm_exponent,
 )
-from .induction import FrobeniusModel, MonomialRep, det_of, induce, verify_det_induction
+from .induction import FrobeniusModel, MonomialRep, det_of, verify_det_induction
 from .ledger import (
     CrystCharSpec,
     WeightProfile,

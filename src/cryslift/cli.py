@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
+import stat
 import sys
 import time
 
@@ -145,9 +147,9 @@ def cmd_lift(args: argparse.Namespace) -> int:
     doc = certio.certificate_to_json(cert)
     certio.validate_certificate_schema(doc)
     ok, violations = verify.verify_certificate(doc)
-    doc["self_check"] = "pass" if ok else "fail"
     if not ok:
         raise AssertionError(f"emitted certificate failed self-check: {violations}")
+    doc["self_check"] = "pass"
     _emit(doc)
     return EXIT_OK
 
@@ -208,12 +210,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         max_field_bits=args.max_field_bits,
         record=args.record,
     )
-    # --out is opened first, so that a bad path fails before the grid runs
-    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+    # --out is opened first, so that a bad path fails before the grid runs,
+    # but emptied only to take the report: a refused or failed sweep leaves
+    # the file as it was
+    with open(args.out, "a") if args.out else contextlib.nullcontext(sys.stdout) as out:
         started = time.monotonic()
         report = run_sweep(config)
         elapsed = time.monotonic() - started
         certio.validate_report_schema(report)
+        if args.out and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+            out.truncate(0)  # appends now start at 0; a pipe or device has nothing to empty
         out.write(certio.dumps(report))
     # wall-clock stays out of the report file so reports are reproducible
     print(f"sweep finished in {elapsed:.2f}s", file=sys.stderr)
@@ -233,8 +239,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_INFEASIBLE
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error is malformed input, reported like any other (its
+    subcommand parsers are of this class too)."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cryslift",
         description="Exact-arithmetic lift certificates: digits, transport, "
         "weights, induction oracle, determinant twists.",
@@ -314,15 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad arguments already
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, json.JSONDecodeError, OSError, CertificateError) as exc:
+    except SystemExit as exc:  # --help prints its text and exits 0
+        return int(exc.code or 0)
+    except (ValueError, OSError, CertificateError) as exc:
         _emit({"error": str(exc), "kind": "bad-input"})
         return EXIT_BAD_INPUT
     except InfeasibleError as exc:

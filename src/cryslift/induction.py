@@ -100,11 +100,6 @@ class MonomialRep:
         return self.b * h % self.model.M
 
 
-def induce(model: FrobeniusModel, b: int) -> MonomialRep:
-    """Monomial model of the representation induced from exponent b."""
-    return MonomialRep(model, b)
-
-
 def _perm_sign(perm: tuple[int, ...]) -> int:
     seen = [False] * len(perm)
     sign = 1
@@ -128,22 +123,48 @@ def det_of(rep: MonomialRep, element: tuple[int, int]) -> tuple[int, int]:
     return _perm_sign(mat.perm), sum(mat.exps) % rep.model.M
 
 
-def verify_det_induction(model: FrobeniusModel, b: int,
-                         use_numpy: bool = True) -> dict:
+def _walk(rep: MonomialRep) -> list[dict]:
+    """Counterexamples to both identities from the monomial matrices of
+    every h and h*phi: the path for M = 1 and past the int64 bound."""
+    model = rep.model
+    q, d, M = model.q, model.d, model.M
+    nexp = norm_exponent(q, d)
+    sign_gamma = -1 if (d - 1) % 2 else 1
+    counterexamples: list[dict] = []
+    for hv in range(M):
+        sign, exp = det_of(rep, (hv, 0))
+        want = rep.character_exponent(nexp * hv % M)
+        if sign != 1 or exp != want:
+            counterexamples.append(
+                {"where": "H", "h": hv, "det": [sign, exp],
+                 "expected": [1, want]}
+            )
+        if d > 1:
+            sign, exp = det_of(rep, (hv, 1))
+            want = rep.character_exponent(model.power((hv, 1), d)[0])
+            if sign != sign_gamma or exp != want:
+                counterexamples.append(
+                    {"where": "generators", "h": hv, "det": [sign, exp],
+                     "expected": [sign_gamma, want]}
+                )
+    return counterexamples
+
+
+def verify_det_induction(model: FrobeniusModel, b: int) -> dict:
     """Check both determinant identities over all of H = C_M.
 
     Returns a report dict with counterexample lists (expected empty).
-    The bulk arithmetic is vectorized; correctness of the vectorized
-    exponent formula against the monomial matrices is covered by the
-    object-level tests.
+    The bulk arithmetic is vectorized when M > 1 and its products fit in
+    int64; the tests check the vectorized exponent formula against the
+    walk over the monomial matrices.
     """
     q, d, M = model.q, model.d, model.M
-    rep = induce(model, b)
+    rep = MonomialRep(model, b)
     nexp = norm_exponent(q, d)
     sign_gamma = -1 if (d - 1) % 2 else 1
     counterexamples: list[dict] = []
 
-    if use_numpy and M > 1 and (M - 1) * (M - 1) * d < 2 ** 62:
+    if M > 1 and (M - 1) * (M - 1) * d < 2 ** 62:
         # imported here, its only use, so that importing cryslift does
         # not load numpy
         import numpy as np
@@ -172,24 +193,7 @@ def verify_det_induction(model: FrobeniusModel, b: int,
                  "det_exp": int(gamma_exp[hv]), "expected": int(theta_pow[hv])}
             )
     else:
-        for hv in range(M):
-            sign, exp = det_of(rep, (hv, 0))
-            want = rep.character_exponent(nexp * hv % M)
-            if sign != 1 or exp != want:
-                counterexamples.append(
-                    {"where": "H", "h": hv, "det": [sign, exp],
-                     "expected": [1, want]}
-                )
-            if d > 1:
-                sign, exp = det_of(rep, (hv, 1))
-                gd = model.power((hv, 1), d)
-                assert gd[1] == 0
-                want = rep.character_exponent(gd[0])
-                if sign != sign_gamma or exp != want:
-                    counterexamples.append(
-                        {"where": "generators", "h": hv, "det": [sign, exp],
-                         "expected": [sign_gamma, want]}
-                    )
+        counterexamples = _walk(rep)
 
     # sign of det rho at h*phi is independent of h: spot-check via the
     # actual monomial matrix at a few h

@@ -19,9 +19,8 @@ the J-block of theta_bar's digits is b[i0::f], the Sigma_F fibre of s is
 the contiguous slice k[s*d:(s+1)*d] of the Sigma_E-indexed weights, and
 the Sigma_E0 fibre of j = i0 + f*l is column l of the Sigma_F fibres
 above i0, the stride-d slice k[i0*e*d + l:(i0+1)*e*d:d].  LocalFieldShape's
-slice methods are the builder's only implementation of this order; the
-builder reads their slices from the shape's F_blocks, J_blocks and
-E_blocks, built once per shape from those methods.
+F_blocks, J_blocks and E_blocks (built once per shape) and F_fibres are
+the builder's only implementation of this order.
 
 The weight construction solves, per i0-block, a distinct-entry
 transportation problem: rows are the e embeddings of F above i0 with
@@ -105,38 +104,29 @@ class LocalFieldShape:
     def size_E(self) -> int:
         return self.e * self.f * self.d
 
-    def F_block(self, i0: int) -> slice:
-        """Sigma_F indices above i0: the e determinant exponents of the block."""
-        return slice(i0 * self.e, (i0 + 1) * self.e)
-
-    def J_block(self, i0: int) -> slice:
-        """Sigma_E0 indices above i0: the d digits i0, i0 + f, ... of theta_bar."""
-        return slice(i0, self.f * self.d, self.f)
-
-    def E_block(self, i0: int) -> slice:
-        """Sigma_E indices above i0."""
-        w = self.e * self.d
-        return slice(i0 * w, (i0 + 1) * w)
-
     # The slices of every i0, built once per shape on first use (the sweep
     # pickles its cells to the workers unread); ==, hash and repr ignore
     # them.  Lists, not tuples: the tuples that lifts freed pinned memory
     # pools, 2.5 MB more peak RSS on the verify_stream benchmark.
     @cached_property
     def F_blocks(self) -> list[slice]:
-        return list(map(self.F_block, range(self.f)))
+        """Sigma_F indices above each i0: the e determinant exponents of the block."""
+        return [slice(i0 * self.e, (i0 + 1) * self.e) for i0 in range(self.f)]
 
     @cached_property
     def J_blocks(self) -> list[slice]:
-        return list(map(self.J_block, range(self.f)))
+        """Sigma_E0 indices above each i0: the d digits i0, i0 + f, ... of theta_bar."""
+        return [slice(i0, self.f * self.d, self.f) for i0 in range(self.f)]
 
     @cached_property
     def E_blocks(self) -> list[slice]:
-        return list(map(self.E_block, range(self.f)))
+        """Sigma_E indices above each i0."""
+        w = self.e * self.d
+        return [slice(i0 * w, (i0 + 1) * w) for i0 in range(self.f)]
 
     def F_fibres(self, k: tuple[int, ...]) -> list[tuple[int, ...]]:
         """The Sigma_F fibres of the Sigma_E-indexed k, as tuples: fibre s
-        is k[s*d:(s+1)*d].  Column l of the fibres in F_block(i0) is the
+        is k[s*d:(s+1)*d].  Column l of the fibres in F_blocks[i0] is the
         Sigma_E0 fibre of i0 + f*l."""
         # zip takes d items at a time from one iterator: k's d-slices
         return list(zip(*[iter(k)] * self.d))

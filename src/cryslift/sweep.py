@@ -128,12 +128,11 @@ def _force_compat(
 def run_cell(shape: LocalFieldShape, config: SweepConfig) -> list[dict]:
     """All instance rows for one shape; deterministic from (config.seed, shape)."""
     rng = random.Random(f"{config.seed}:{shape.key}")
-    big_q = shape.p ** (shape.f * shape.d)
-    if config.thetas_per_cell is None or config.thetas_per_cell >= big_q - 1:
-        bs = range(big_q - 1)
-    else:
-        bs = sorted(rng.sample(range(big_q - 1), config.thetas_per_cell))
     field_E = shape.residue_field_E
+    if config.thetas_per_cell is None or config.thetas_per_cell >= field_E.q - 1:
+        bs = range(field_E.q - 1)
+    else:
+        bs = sorted(rng.sample(range(field_E.q - 1), config.thetas_per_cell))
     key = shape.key
     rows = []
     for b in bs:

@@ -31,10 +31,6 @@ class UnitExpr:
         object.__setattr__(self, "factors", norm)
 
     @staticmethod
-    def one() -> "UnitExpr":
-        return UnitExpr()
-
-    @staticmethod
     def symbol(label: str) -> "UnitExpr":
         return UnitExpr(1, ((label, Fraction(1)),))
 

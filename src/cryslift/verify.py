@@ -96,13 +96,8 @@ def _parse_shape(fields: tuple[str, ...]) -> tuple[int, int, int, int, str | Non
 
 def _unit_normal(obj: dict) -> tuple[int, tuple[tuple[str, int | Fraction], ...]]:
     """Sign and merged, sorted, non-zero exponents of a unit."""
-    factors = obj["factors"]
-    if len(factors) == 1:  # one factor, as the builder writes: nothing to merge
-        (label, num, den), = factors
-        e = _exponent(num, den)
-        return int(obj["sign"]), ((label, e),) if e != 0 else ()
     acc: dict[str, int | Fraction] = {}
-    for label, num, den in factors:
+    for label, num, den in obj["factors"]:
         acc[label] = acc.get(label, 0) + _exponent(num, den)
     return int(obj["sign"]), tuple(
         (label, e) for label, e in sorted(acc.items()) if e != 0

@@ -50,6 +50,32 @@ def test_malformed_input_exit_2(capsys):
     assert doc["kind"] == "bad-input"
 
 
+@pytest.mark.parametrize("argv, error", [
+    ("digits --p x --f 1 --b 1", "cryslift digits: argument --p: invalid int value: 'x'"),
+    ("digits --p 3 --f 1", "cryslift digits: the following arguments are required: --b"),
+    ("verify", "cryslift verify: the following arguments are required: certificate"),
+    ("nosuch", "cryslift: argument command: invalid choice: 'nosuch'"),
+    ("sweep --record some", "cryslift sweep: argument --record: invalid choice: 'some'"),
+    ("digits --p 3 --f 1 --b 1 --x 2", "unrecognized arguments: --x 2"),
+], ids=["bad-int", "missing-option", "missing-positional", "unknown-command",
+        "bad-choice", "unknown-option"])
+def test_argument_errors_print_bad_input(capsys, argv, error):
+    """An error that the argument parser finds is malformed input like any
+    other: one JSON document on stdout, exit 2, no usage text."""
+    code = main(argv.split())
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    doc = json.loads(out)
+    assert set(doc) == {"error", "kind"} and doc["kind"] == "bad-input"
+    assert error in doc["error"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: cryslift")
+
+
 @pytest.mark.parametrize("argv, code, kind, error", [
     ("transport --a , --b 1", 2, "bad-input", "row and column sum lists must be nonempty"),
     ("regular --a 1 --b 0,1 --m 0", 2, "bad-input", "modulus m=0 must be >= 1"),
@@ -348,6 +374,23 @@ def test_sweep_bad_out_fails_before_the_sweep(capsys, monkeypatch, tmp_path):
                         "--d-max", "1", "--out", str(tmp_path / "missing" / "r.json"))
     assert code == 2
     assert doc["kind"] == "bad-input" and set(doc) == {"error", "kind"}
+
+
+def test_refused_sweep_keeps_out_file(capsys, tmp_path):
+    """A sweep refused before any cell runs leaves --out as it was; a sweep
+    that runs replaces the whole file with its report."""
+    out = tmp_path / "r.json"
+    out.write_bytes(b"an earlier report\n" * 1000)
+    before = out.read_bytes()
+    code, doc = run_cli(capsys, "sweep", "--p-values", "2", "--f-max", "1",
+                        "--e-max", str(SWEEP_CELLS_MAX + 1), "--d-max", "1",
+                        "--thetas-per-cell", "1", "--out", str(out))
+    assert code == 2 and doc["kind"] == "bad-input"
+    assert out.read_bytes() == before
+    argv = ["sweep", "--p-values", "2", "--f-max", "1", "--e-max", "1", "--d-max", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert main(argv) == 0
+    assert out.read_text() == capsys.readouterr().out
 
 
 def test_sweep_empty_range_rejected(capsys):

@@ -6,8 +6,9 @@ import pytest
 from cryslift.fields import norm_exponent
 from cryslift.induction import (
     FrobeniusModel,
+    MonomialRep,
+    _walk,
     det_of,
-    induce,
     verify_det_induction,
 )
 
@@ -41,29 +42,29 @@ class TestModel:
 
 class TestInduce:
     def test_diagonal_on_subgroup(self):
-        rep = induce(FrobeniusModel(3, 2), 1)
+        rep = MonomialRep(FrobeniusModel(3, 2), 1)
         mat = rep.matrix((1, 0))
         assert mat.perm == (0, 1)
         assert mat.exps == (1, 3)
 
     def test_trivial_character_is_permutation(self):
-        rep = induce(FrobeniusModel(3, 2), 0)
+        rep = MonomialRep(FrobeniusModel(3, 2), 0)
         assert rep.matrix((5, 0)).exps == (0, 0)
 
     def test_d1_is_the_character(self):
-        rep = induce(FrobeniusModel(7, 1), 4)
+        rep = MonomialRep(FrobeniusModel(7, 1), 4)
         mat = rep.matrix((3, 0))
         assert mat.perm == (0,)
         assert mat.exps == (4 * 3 % 6,)
 
     def test_b_out_of_range(self):
         with pytest.raises(ValueError):
-            induce(FrobeniusModel(3, 2), 8)
+            MonomialRep(FrobeniusModel(3, 2), 8)
 
     def test_homomorphism_full_enumeration(self):
         # |G| = 16: check every pair
         m = FrobeniusModel(3, 2)
-        rep = induce(m, 3)
+        rep = MonomialRep(m, 3)
         elems = [(h, s) for h in range(m.M) for s in range(m.d)]
         for g1 in elems:
             for g2 in elems:
@@ -72,7 +73,7 @@ class TestInduce:
     def test_homomorphism_random_larger(self):
         rng = random.Random(3)
         m = FrobeniusModel(5, 3)
-        rep = induce(m, rng.randrange(m.M))
+        rep = MonomialRep(m, rng.randrange(m.M))
         for _ in range(300):
             g1 = (rng.randrange(m.M), rng.randrange(m.d))
             g2 = (rng.randrange(m.M), rng.randrange(m.d))
@@ -81,17 +82,17 @@ class TestInduce:
 
 class TestDeterminant:
     def test_cycle_sign(self):
-        rep = induce(FrobeniusModel(3, 2), 1)
+        rep = MonomialRep(FrobeniusModel(3, 2), 1)
         assert det_of(rep, (0, 1)) == (-1, 0)
 
     def test_diagonal_det(self):
-        rep = induce(FrobeniusModel(3, 2), 1)
+        rep = MonomialRep(FrobeniusModel(3, 2), 1)
         sign, exp = det_of(rep, (1, 0))
         assert (sign, exp) == (1, 4)  # 1 + 3 mod 8
 
     def test_multiplicativity_full(self):
         m = FrobeniusModel(2, 3)
-        rep = induce(m, 5)
+        rep = MonomialRep(m, 5)
         elems = [(h, s) for h in range(m.M) for s in range(m.d)]
         for g1 in elems:
             for g2 in elems:
@@ -119,9 +120,9 @@ class TestVerifyDetInduction:
     def test_numpy_and_loop_paths_agree(self):
         m = FrobeniusModel(4, 3)
         for b in (0, 1, 17, m.M - 1):
-            fast = verify_det_induction(m, b, use_numpy=True)
-            slow = verify_det_induction(m, b, use_numpy=False)
-            assert fast["pass"] == slow["pass"] is True
+            fast = verify_det_induction(m, b)
+            slow = _walk(MonomialRep(m, b))
+            assert fast["pass"] is True and slow == []
 
     def test_small_grid(self):
         for q in (2, 3, 4, 5):
@@ -152,9 +153,21 @@ class TestOracleCatchesWrongDeterminant:
     def test_loop_path_catches_it(self, monkeypatch):
         q, d, b = self.CASE
         self._perturb(monkeypatch)
-        report = verify_det_induction(FrobeniusModel(q, d), b, use_numpy=False)
-        assert not report["pass"]
-        assert {c["where"] for c in report["counterexamples"]} == {"H", "generators"}
+        counterexamples = _walk(MonomialRep(FrobeniusModel(q, d), b))
+        assert counterexamples
+        assert {c["where"] for c in counterexamples} == {"H", "generators"}
+
+    def test_default_path_at_m_1_is_the_walk(self, monkeypatch):
+        # M = 1 (q = 2, d = 1) has no vectorized path: the walk reads det_of,
+        # here with its sign flipped, since every exponent mod 1 is 0
+        from cryslift import induction
+
+        exact = induction.det_of
+        monkeypatch.setattr(induction, "det_of",
+                            lambda rep, element: (-exact(rep, element)[0], 0))
+        report = verify_det_induction(FrobeniusModel(2, 1), 0)
+        assert report["counterexamples"] == [
+            {"where": "H", "h": 0, "det": [-1, 0], "expected": [1, 0]}]
 
     @pytest.mark.xfail(strict=True, reason="the vectorized path never reads det_of's "
                        "exponents: both of its sides follow from sum b*q^i = b*N mod M")

@@ -31,7 +31,7 @@ class TestUnitExpr:
 
     def test_zero_exponent_dropped(self):
         u = UnitExpr.symbol("x") * UnitExpr(1, (("x", Fraction(-1)),))
-        assert u == UnitExpr.one()
+        assert u == UnitExpr()
 
     def test_sign_arithmetic(self):
         u = UnitExpr.symbol("x").negate()
@@ -51,7 +51,7 @@ class TestUnitExpr:
     @pytest.mark.parametrize("u", [
         UnitExpr.symbol("psi(varpi_F)"),
         UnitExpr(-1, (("b", Fraction(-2, 3)), ("a", Fraction(5)))),
-        UnitExpr.one(),
+        UnitExpr(),
     ], ids=["symbol", "two-factors", "one"])
     def test_json_and_negation_keep_identity(self, u):
         """A unit that has written its JSON and negated itself keeps its
@@ -81,10 +81,10 @@ class TestUnitExpr:
         units = [UnitExpr(1, ((l, Fraction(e)),)) for l, e in pairs]
         shuffled = list(units)
         random.Random(0).shuffle(shuffled)
-        prod1 = UnitExpr.one()
+        prod1 = UnitExpr()
         for u in units:
             prod1 = prod1 * u
-        prod2 = UnitExpr.one()
+        prod2 = UnitExpr()
         for u in shuffled:
             prod2 = prod2 * u
         assert prod1 == prod2

@@ -35,7 +35,7 @@ def e0_fibres(shape, k):
     fibres above i0 is the fibre of j = i0 + f*l."""
     fibres = shape.F_fibres(k)
     return {i0 + shape.f * l: col for i0 in range(shape.f)
-            for l, col in enumerate(zip(*fibres[shape.F_block(i0)]))}
+            for l, col in enumerate(zip(*fibres[shape.F_blocks[i0]]))}
 
 
 class TestLayout:
@@ -47,9 +47,9 @@ class TestLayout:
         shape = make_shape(2, 2, 3, 2)
         assert (shape.size_F, shape.size_E0, shape.size_E) == (6, 4, 12)
         a, b, k = range(shape.size_F), range(shape.size_E0), range(shape.size_E)
-        assert all(len(a[shape.F_block(i0)]) == 3 for i0 in range(shape.f))
-        assert all(len(b[shape.J_block(i0)]) == 2 for i0 in range(shape.f))
-        assert all(len(k[shape.E_block(i0)]) == 6 for i0 in range(shape.f))
+        assert all(len(a[shape.F_blocks[i0]]) == 3 for i0 in range(shape.f))
+        assert all(len(b[shape.J_blocks[i0]]) == 2 for i0 in range(shape.f))
+        assert all(len(k[shape.E_blocks[i0]]) == 6 for i0 in range(shape.f))
 
     def test_degenerate_d1(self):
         shape = make_shape(5, 1, 1, 1)
@@ -70,9 +70,7 @@ class TestLayout:
         # every slice of the order is the same for any p and t
         x, y = make_shape(3, 2, 2, 3), make_shape(5, 2, 2, 3, 48)
         assert (x.size_F, x.size_E0, x.size_E) == (y.size_F, y.size_E0, y.size_E)
-        for i0 in range(x.f):
-            for name in ("F_block", "J_block", "E_block"):
-                assert getattr(x, name)(i0) == getattr(y, name)(i0)
+        assert (x.F_blocks, x.J_blocks, x.E_blocks) == (y.F_blocks, y.J_blocks, y.E_blocks)
         idx = tuple(range(x.size_E))
         assert x.F_fibres(idx) == y.F_fibres(idx)
         assert e0_fibres(x, idx) == e0_fibres(y, idx)
@@ -94,11 +92,11 @@ class TestLayout:
             scan = [k[t] for t, (_, j) in enumerate(pairs) if j == j0]
             assert list(columns[j0]) == scan
         for i0 in range(f):
-            assert list(range(shape.size_F)[shape.F_block(i0)]) == [
+            assert list(range(shape.size_F)[shape.F_blocks[i0]]) == [
                 s for s in range(shape.size_F) if s // e == i0]
-            assert list(range(shape.size_E0)[shape.J_block(i0)]) == [
+            assert list(range(shape.size_E0)[shape.J_blocks[i0]]) == [
                 j for j in range(shape.size_E0) if j % f == i0]
-            assert list(k[shape.E_block(i0)]) == [
+            assert list(k[shape.E_blocks[i0]]) == [
                 k[t] for t, (sig, _) in enumerate(pairs) if sig // e == i0]
 
     def test_cached_values_keep_identity(self):
@@ -121,8 +119,8 @@ class TestLayout:
         assert (clone.F_blocks, clone.J_blocks, clone.E_blocks, clone.to_json()) == (
             shape.F_blocks, shape.J_blocks, shape.E_blocks, shape.to_json())
         wider = dataclasses.replace(shape, f=1, e=3, t=2)
-        for name in ("F_block", "J_block", "E_block"):
-            assert getattr(wider, name + "s") == [getattr(wider, name)(0)]
+        assert (wider.F_blocks, wider.J_blocks, wider.E_blocks) == (
+            [slice(0, 3)], [slice(0, 3, 1)], [slice(0, 9)])
         assert wider.to_json() == {"p": "3", "f": "1", "e": "3", "d": "3", "t": "2"}
 
     def test_invalid_shape_rejected(self):
@@ -190,7 +188,7 @@ def check_lift_conditions(k, theta_bar, a, shape):
     # block separation in canonical sigma_0 order
     prev = None
     for i0 in range(f):
-        block = [abs(v) for v in k[shape.E_block(i0)]]
+        block = [abs(v) for v in k[shape.E_blocks[i0]]]
         if prev is not None:
             assert min(block) > prev
         prev = max(block)
