@@ -17,7 +17,7 @@ import time
 
 from . import certio, verify
 from .errors import CertificateError, InfeasibleError
-from .fields import FiniteFieldSpec, MultChar, digits, is_prime
+from .fields import RESIDUE_DEGREE_MAX, FiniteFieldSpec, MultChar, digits, is_prime
 from .induction import FrobeniusModel, verify_det_induction
 from .ledger import WeightProfile, twist_shout
 from .lifting import DetSpec, LocalFieldShape, irr_crys_lift
@@ -34,12 +34,6 @@ EXIT_INTERNAL = 4
 # with int64 arrays of M entries, about 160 MB and 1-2 s per b at the limit.
 INDUCTION_M_MAX = 2 ** 22
 
-# Largest residue degree: f for `cryslift digits`, f*d for `cryslift lift`,
-# and --max-field-bits for `cryslift sweep`, which bounds every cell's f*d.
-# Each computes p to that power and expands that many digits of theta_bar;
-# a lift at the limit takes about 0.4 s and 31 MB, and at 2^20 about 4 s.
-RESIDUE_DEGREE_MAX = 2 ** 16
-
 # Most integers that the ranges of `cryslift sweep --p-values` may span: each
 # is tested for primality before any cell runs, about 0.5 s for 2^16
 # integers near 2^64 and 0.1 s below 2^16.
@@ -54,16 +48,20 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
 
-def _p_values(text: str, cap: int) -> list[int]:
+def _p_values(text: str, bits: int) -> list[int]:
     """Comma-separated primes, where LO-HI stands for every prime in [LO, HI]
-    up to cap: a larger prime has no cell, since every cell has p <= cap.
+    up to 2^bits: a larger prime has no cell, since every cell has p <= 2^bits.
     The ranges may span at most P_RANGE_MAX integers together."""
     ps: list[int] = []
     spanned = 0
     for part in text.split(","):
         lo, dash, hi = part.strip().partition("-")
         if dash and lo:
-            lo, hi = int(lo), min(int(hi), cap)
+            lo, hi = int(lo), int(hi)
+            # 2^bits only when bits is below hi's bit length, so it is small;
+            # a bits below 1 leaves no prime, and SweepConfig refuses it
+            if hi.bit_length() > bits:
+                hi = min(hi, 2 ** max(bits, 0))
             spanned += max(hi - lo + 1, 0)
             if spanned > P_RANGE_MAX:
                 raise ValueError(f"--p-values ranges span more than {P_RANGE_MAX} "
@@ -95,14 +93,7 @@ def _profile(text: str) -> WeightProfile:
     return WeightProfile(tuple(tuple(row) for row in rows))
 
 
-def _check_degree(degree: int, name: str) -> None:
-    """Refuse a residue degree above RESIDUE_DEGREE_MAX before p is raised to it."""
-    if degree > RESIDUE_DEGREE_MAX:
-        raise ValueError(f"{name} must be at most {RESIDUE_DEGREE_MAX}")
-
-
 def cmd_digits(args: argparse.Namespace) -> int:
-    _check_degree(args.f, "the residue degree f")
     c = MultChar(FiniteFieldSpec(args.p, args.f), args.b)
     d = digits(c)
     _emit({"p": str(args.p), "f": str(args.f), "b": str(args.b),
@@ -135,9 +126,9 @@ def _shape(args: argparse.Namespace) -> LocalFieldShape:
 
 
 def cmd_lift(args: argparse.Namespace) -> int:
-    # the shape compares t with q-1 by bit lengths first; p^(f*d) comes later
+    # the shape compares t with q-1 by bit lengths first; E's residue field
+    # refuses an f*d above RESIDUE_DEGREE_MAX before it computes p^(f*d)
     shape = _shape(args)
-    _check_degree(shape.f * shape.d, "the residue degree f*d of E")
     theta_bar = MultChar(shape.residue_field_E, args.theta_bar)
     psi = DetSpec(tuple(_int_list(args.a)), UnitExpr.symbol("psi(varpi_F)"))
     cert = irr_crys_lift(theta_bar, psi, shape)
@@ -195,10 +186,8 @@ def cmd_twist(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    # p >= 2 makes p^(f*d) <= 2^bits force f*d <= bits: the degree cap of lift
-    _check_degree(args.max_field_bits, "--max-field-bits")
     config = SweepConfig(
-        p_values=tuple(_p_values(args.p_values, 2 ** args.max_field_bits)),
+        p_values=tuple(_p_values(args.p_values, args.max_field_bits)),
         f_max=args.f_max,
         e_max=args.e_max,
         d_max=args.d_max,

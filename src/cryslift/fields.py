@@ -11,39 +11,33 @@ sends x to sigma_0(x^(p^i)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
 
 
-# Primality is decided below PRIME_BOUND only: by a sieve table below
-# _SIEVE_LIMIT, and above it by Miller-Rabin with the bases below, which
-# is a proof of primality for all n < 3.18e23.
+# Primality is decided below PRIME_BOUND only, where Miller-Rabin with the
+# bases below is a proof of primality (it is for all n < 3.18e23).  The
+# builder keeps its own copy of the verifier's test: neither imports the other.
 PRIME_BOUND = 2 ** 64
-_SIEVE_LIMIT = 2 ** 16
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-
-def _sieve(n: int) -> bytearray:
-    table = bytearray([1]) * n
-    table[:2] = b"\0\0"
-    for i in range(2, isqrt(n - 1) + 1):
-        if table[i]:
-            table[i * i::i] = bytes(len(range(i * i, n, i)))
-    return table
-
-
-_SMALL_PRIME = bytes(_sieve(_SIEVE_LIMIT))
+# Largest residue degree f of a field: FiniteFieldSpec raises p to it, and
+# digits expands that many digits; a lift at the limit takes about 0.4 s
+# and 31 MB, and at 2^20 about 4 s.
+RESIDUE_DEGREE_MAX = 2 ** 16
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test; raises ValueError for n >= 2^64."""
-    if n < _SIEVE_LIMIT:
-        return n >= 2 and _SMALL_PRIME[n] == 1
+    """Deterministic Miller-Rabin primality test; raises ValueError for n >= 2^64."""
     if n >= PRIME_BOUND:
         raise ValueError(
             f"primality is decided only below 2^64, not for a {n.bit_length()}-bit n"
         )
-    if any(n % a == 0 for a in _MR_BASES):
+    if n < 2:
         return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n < 41 * 41:  # a composite without a prime factor <= 37 is >= 41^2
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -74,6 +68,9 @@ class FiniteFieldSpec:
             raise ValueError(f"p={self.p} is not prime")
         if self.f < 1:
             raise ValueError(f"f={self.f} must be >= 1")
+        if self.f > RESIDUE_DEGREE_MAX:
+            raise ValueError(f"the degree {self.f} of the field over F_{self.p} must be "
+                             f"at most {RESIDUE_DEGREE_MAX}")
         object.__setattr__(self, "q", self.p ** self.f)
 
 

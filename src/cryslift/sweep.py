@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 from .certio import REPORT_SCHEMA_ID, certificate_to_json
 from .errors import InfeasibleError
-from .fields import MultChar, digits, is_prime
+from .fields import RESIDUE_DEGREE_MAX, MultChar, digits, is_prime
 from .lifting import DetSpec, LocalFieldShape, _lift
 from .units import UnitExpr
 from .verify import verify_certificate
@@ -37,10 +37,19 @@ CHUNKS_PER_WORKER = 16
 # process writes its JSON and its negation once.
 PSI_UNIFORMIZER = UnitExpr.symbol("psi(varpi_F)")
 
-# A cell takes about 150 B before it runs, and e_max has no other bound,
-# so iter_cells counts the grid by arithmetic and refuses a larger one
-# before building any cell.  Criterion 4's grid has 1,416 cells.
+# iter_cells counts the grid by arithmetic and refuses one past any of
+# these caps before building any cell, since e_max has no other bound.
+# A cell takes about 150 B before it runs.  A report row, held until the
+# sweep ends, takes about 620 B: 2^20 instances are about 650 MB under
+# record="all".  An instance costs time linear in its e*f*d weights, about
+# 0.41 us each at e in the thousands on a 2-core Xeon host: 2^31 weights
+# are about 15 min of lifts on one core.  At p = 2, f = d = 1 and one
+# instance per cell, that admits e_max = 2^15 with both t (1.07e9
+# weights) and refuses e_max = 2^16 with one (2.15e9).  Criterion 4's
+# grid has 1,416 cells, 602,850 instances and 2,296,752 weights.
 SWEEP_CELLS_MAX = 2 ** 16
+SWEEP_INSTANCES_MAX = 2 ** 20
+SWEEP_WEIGHTS_MAX = 2 ** 31
 
 
 @dataclass(frozen=True)
@@ -58,11 +67,14 @@ class SweepConfig:
     record: str = "all"  # "all" | "failures"
 
     def __post_init__(self) -> None:
-        if not self.p_values:
-            raise ValueError("empty p range")
         for name in ("f_max", "e_max", "d_max", "jobs", "max_field_bits"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # p >= 2 makes p^(f*d) <= 2^bits force f*d <= bits: every cell's degree cap
+        if self.max_field_bits > RESIDUE_DEGREE_MAX:
+            raise ValueError(f"max_field_bits must be at most {RESIDUE_DEGREE_MAX}")
+        if not self.p_values:
+            raise ValueError("empty p range")
         if self.thetas_per_cell is not None and self.thetas_per_cell < 1:
             raise ValueError("thetas_per_cell must be >= 1, or None for every theta_bar")
         if self.a_bound < 0:
@@ -73,13 +85,22 @@ class SweepConfig:
             raise ValueError(f"unknown record mode {self.record!r}")
 
 
+def _theta_count(q: int, config: SweepConfig) -> int:
+    """The number of theta_bar exponents that a cell whose field E has q
+    elements runs: all q-1, or a sample of thetas_per_cell of them."""
+    n = config.thetas_per_cell
+    return q - 1 if n is None else min(q - 1, n)
+
+
 def iter_cells(config: SweepConfig) -> list[LocalFieldShape]:
     """The grid's cells in order, each distinct prime of p_values once.
-    A grid of more than SWEEP_CELLS_MAX cells is refused before any cell
-    is built."""
+    A grid of more than SWEEP_CELLS_MAX cells, SWEEP_INSTANCES_MAX
+    instances or SWEEP_WEIGHTS_MAX weights is refused before any cell is
+    built."""
     cap = 2 ** config.max_field_bits
-    cells_per_fd = config.e_max * (2 if config.t_with_p else 1)
-    count, groups = 0, []
+    e_max = config.e_max
+    cells = instances = weights = 0
+    groups = []
     # p^f and p^(f*d) only grow with f and d, so both loops stop at the cap
     for p in sorted(set(config.p_values)):
         for f in range(1, config.f_max + 1):
@@ -87,14 +108,23 @@ def iter_cells(config: SweepConfig) -> list[LocalFieldShape]:
             if q > cap:
                 break
             for d in range(1, config.d_max + 1):
-                if q ** d > cap:
+                q_E = q ** d
+                if q_E > cap:
                     break
-                count += cells_per_fd
-                if count > SWEEP_CELLS_MAX:
-                    raise ValueError(f"the sweep grid has more than {SWEEP_CELLS_MAX} cells")
-                groups.append((p, f, d, [q - 1] + ([p * (q - 1)] if config.t_with_p else [])))
+                ts = [q - 1] + ([p * (q - 1)] if config.t_with_p else [])
+                # each e runs n instances over its t values, each of e*f*d weights
+                n = _theta_count(q_E, config) * len(ts)
+                cells += e_max * len(ts)
+                instances += e_max * n
+                weights += e_max * (e_max + 1) // 2 * f * d * n
+                for total, most, what in ((cells, SWEEP_CELLS_MAX, "cells"),
+                                          (instances, SWEEP_INSTANCES_MAX, "instances"),
+                                          (weights, SWEEP_WEIGHTS_MAX, "weights")):
+                    if total > most:
+                        raise ValueError(f"the sweep grid has more than {most} {what}")
+                groups.append((p, f, d, ts))
     return [LocalFieldShape(p, f, e, d, t) for p, f, d, ts in groups
-            for e in range(1, config.e_max + 1) for t in ts]
+            for e in range(1, e_max + 1) for t in ts]
 
 
 def _force_compat(
@@ -129,10 +159,8 @@ def run_cell(shape: LocalFieldShape, config: SweepConfig) -> list[dict]:
     """All instance rows for one shape; deterministic from (config.seed, shape)."""
     rng = random.Random(f"{config.seed}:{shape.key}")
     field_E = shape.residue_field_E
-    if config.thetas_per_cell is None or config.thetas_per_cell >= field_E.q - 1:
-        bs = range(field_E.q - 1)
-    else:
-        bs = sorted(rng.sample(range(field_E.q - 1), config.thetas_per_cell))
+    n = _theta_count(field_E.q, config)
+    bs = range(n) if n == field_E.q - 1 else sorted(rng.sample(range(field_E.q - 1), n))
     key = shape.key
     rows = []
     for b in bs:
@@ -178,8 +206,7 @@ def _chunks(
 ) -> list[list[LocalFieldShape]]:
     """At most n contiguous runs of cells with about equal instance counts.
     Equal cell counts would not do: the grid's largest fields come last."""
-    sizes = [min(c.p ** (c.f * c.d) - 1, config.thetas_per_cell or c.p ** (c.f * c.d))
-             for c in cells]
+    sizes = [_theta_count(c.p ** (c.f * c.d), config) for c in cells]
     total, done, start, chunks = sum(sizes), 0, 0, []
     for i, size in enumerate(sizes):
         done += size

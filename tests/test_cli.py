@@ -14,8 +14,9 @@ import pytest
 import cryslift
 from cryslift import cli
 from cryslift.cli import main
+from cryslift.fields import RESIDUE_DEGREE_MAX
 from cryslift.lifting import DetSpec, irr_crys_lift
-from cryslift.sweep import SWEEP_CELLS_MAX
+from cryslift.sweep import SWEEP_CELLS_MAX, SWEEP_INSTANCES_MAX, SWEEP_WEIGHTS_MAX
 from cryslift.transport import verify_assignment
 from cryslift.units import UnitExpr
 
@@ -418,10 +419,10 @@ def test_digits_large_prime_is_fast(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["digits", "--p", "3", "--f", str(cli.RESIDUE_DEGREE_MAX + 1), "--b", "5"],
-    ["lift", "--p", "3", "--f", "1", "--e", "1", "--d", str(cli.RESIDUE_DEGREE_MAX + 1),
+    ["digits", "--p", "3", "--f", str(RESIDUE_DEGREE_MAX + 1), "--b", "5"],
+    ["lift", "--p", "3", "--f", "1", "--e", "1", "--d", str(RESIDUE_DEGREE_MAX + 1),
      "--t", "2", "--theta-bar", "0", "--a", "0"],
-    ["lift", "--p", "2", "--f", "2", "--e", "1", "--d", str(cli.RESIDUE_DEGREE_MAX // 2 + 1),
+    ["lift", "--p", "2", "--f", "2", "--e", "1", "--d", str(RESIDUE_DEGREE_MAX // 2 + 1),
      "--t", "3", "--theta-bar", "0", "--a", "0,0"],
 ], ids=["digits-f", "lift-d", "lift-f*d"])
 def test_residue_degree_above_cap_exit_2(capsys, argv):
@@ -432,42 +433,87 @@ def test_residue_degree_above_cap_exit_2(capsys, argv):
     assert time.perf_counter() - started < 1.0
     assert code == 2
     assert doc["kind"] == "bad-input"
-    assert doc["error"].endswith(f"must be at most {cli.RESIDUE_DEGREE_MAX}")
+    assert doc["error"].endswith(f"must be at most {RESIDUE_DEGREE_MAX}")
 
 
 def test_sweep_max_field_bits_above_cap_exit_2(capsys):
     """p >= 2 makes p^(f*d) <= 2^bits force f*d <= bits: one step above the
     residue degree cap is refused before 2 is raised to it."""
     started = time.perf_counter()
-    code, doc = run_cli(capsys, "sweep", "--max-field-bits", str(cli.RESIDUE_DEGREE_MAX + 1))
+    code, doc = run_cli(capsys, "sweep", "--max-field-bits", str(RESIDUE_DEGREE_MAX + 1))
     assert time.perf_counter() - started < 1.0
     assert code == 2
     assert doc == {"kind": "bad-input",
-                   "error": f"--max-field-bits must be at most {cli.RESIDUE_DEGREE_MAX}"}
+                   "error": f"max_field_bits must be at most {RESIDUE_DEGREE_MAX}"}
+
+
+def _run_limited(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run code in a child process with 1 GB of address space and cryslift
+    on its path; it must end within a second."""
+    code = ("import resource, sys; sys.path.insert(0, sys.argv[1]); "
+            "resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9)); " + code)
+    src = str(Path(cryslift.__file__).resolve().parent.parent)
+    started = time.perf_counter()
+    out = subprocess.run([sys.executable, "-c", code, src, *argv],
+                         capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - started < 1.0
+    return out
+
+
+def _run_cli_limited(*argv: str) -> subprocess.CompletedProcess:
+    return _run_limited("from cryslift.cli import main; sys.exit(main(sys.argv[2:]))", *argv)
 
 
 def test_sweep_e_max_above_cell_cap_exit_2():
     """e_max has no bound of its own: a grid of 10^8 cells is refused (2)
     before any cell is built, in a child process with 1 GB of address
     space, within a second."""
-    code = ("import resource, sys; sys.path.insert(0, sys.argv[1]); "
-            "resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9)); "
-            "from cryslift.cli import main; sys.exit(main(sys.argv[2:]))")
-    src = str(Path(cryslift.__file__).resolve().parent.parent)
-    argv = ["sweep", "--p-values", "2", "--f-max", "1", "--e-max", "100000000",
-            "--d-max", "1", "--thetas-per-cell", "1"]
-    started = time.perf_counter()
-    out = subprocess.run([sys.executable, "-c", code, src, *argv],
-                         capture_output=True, text=True, timeout=10)
-    assert time.perf_counter() - started < 1.0
+    out = _run_cli_limited("sweep", "--p-values", "2", "--f-max", "1", "--e-max", "100000000",
+                           "--d-max", "1", "--thetas-per-cell", "1")
     assert out.returncode == 2, out.stderr
     assert json.loads(out.stdout) == {
         "kind": "bad-input", "error": f"the sweep grid has more than {SWEEP_CELLS_MAX} cells"}
 
 
+@pytest.mark.parametrize("argv,error", [
+    # 65,536 cells of one instance each, but sum(e) = 2^31 weights
+    (["--p-values", "2", "--e-max", "65536", "--thetas-per-cell", "1"],
+     f"more than {SWEEP_WEIGHTS_MAX} weights"),
+    # 393 cells of one weight per instance, but 26M instances: about 16 GB
+    # of rows under --record all
+    (["--p-values", "65537-70000", "--max-field-bits", "17", "--e-max", "1",
+      "--thetas-per-cell", "all"],
+     f"more than {SWEEP_INSTANCES_MAX} instances"),
+], ids=["weights", "instances"])
+def test_sweep_work_above_cap_exit_2(argv, error):
+    """A grid within the cell cap whose instances or weights are past
+    theirs is refused (2) before any cell is built."""
+    out = _run_cli_limited("sweep", "--f-max", "1", "--d-max", "1", *argv)
+    assert out.returncode == 2, out.stderr
+    assert json.loads(out.stdout) == {"kind": "bad-input", "error": f"the sweep grid has {error}"}
+
+
+@pytest.mark.parametrize("expr", [
+    "FiniteFieldSpec(3, 10 ** 8)",
+    "LocalFieldShape(3, 1, 1, 10 ** 8, 2).residue_field_E",
+    "run_sweep(SweepConfig(max_field_bits=10 ** 10, p_values=(2,), f_max=1, e_max=1, "
+    "d_max=1, thetas_per_cell=1))",
+], ids=["field", "shape-E", "sweep"])
+def test_library_refuses_degree_above_cap(expr):
+    """The library's own types refuse a degree above RESIDUE_DEGREE_MAX
+    before p is raised to it, without the CLI."""
+    out = _run_limited(
+        "from cryslift.fields import FiniteFieldSpec; "
+        "from cryslift.lifting import LocalFieldShape; "
+        "from cryslift.sweep import SweepConfig, run_sweep\n"
+        f"try:\n    {expr}\nexcept ValueError as exc:\n    print(exc); sys.exit(2)")
+    assert out.returncode == 2, out.stderr
+    assert out.stdout.strip().endswith(f"must be at most {RESIDUE_DEGREE_MAX}")
+
+
 def test_sweep_max_field_bits_at_cap_runs(capsys, tmp_path):
     out = tmp_path / "r.json"
-    assert main(["sweep", "--max-field-bits", str(cli.RESIDUE_DEGREE_MAX), "--p-values", "2",
+    assert main(["sweep", "--max-field-bits", str(RESIDUE_DEGREE_MAX), "--p-values", "2",
                  "--f-max", "1", "--e-max", "1", "--d-max", "1", "--thetas-per-cell", "1",
                  "--out", str(out)]) == 0
     capsys.readouterr()
@@ -569,6 +615,13 @@ def test_sweep_prime_ranges_past_limit_exit_2(capsys, text):
 def test_sweep_range_without_primes_exit_2(capsys, text):
     code, _ = run_cli(capsys, "sweep", "--p-values", text)
     assert code == 2
+
+
+@pytest.mark.parametrize("bits", ["0", "-1"])
+def test_sweep_field_bits_below_1_with_range_exit_2(capsys, bits):
+    code, doc = run_cli(capsys, "sweep", "--p-values", "2-5", "--max-field-bits", bits)
+    assert code == 2
+    assert doc == {"kind": "bad-input", "error": "max_field_bits must be >= 1"}
 
 
 @pytest.mark.parametrize("count,expected", [(16, 0), (17, 2)])

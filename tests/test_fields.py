@@ -131,7 +131,7 @@ def test_is_prime_matches_trial_division():
     def trial(n):
         return n >= 2 and all(n % k for k in range(2, int(n ** 0.5) + 1))
 
-    # the sieve table below 2^16 and Miller-Rabin above it
+    # trial division by the Miller-Rabin bases below 41^2 and Miller-Rabin above
     assert [n for n in range(-2, 200_000) if is_prime(n)] == [
         n for n in range(-2, 200_000) if trial(n)]
 

@@ -184,6 +184,25 @@ def test_iter_cells_refuses_grid_above_cap():
             iter_cells(SweepConfig(**config, **one_fd))
 
 
+@pytest.mark.parametrize("cap,what", [("SWEEP_CELLS_MAX", "cells"),
+                                      ("SWEEP_INSTANCES_MAX", "instances"),
+                                      ("SWEEP_WEIGHTS_MAX", "weights")])
+def test_iter_cells_counts_grid_exactly(monkeypatch, cap, what):
+    """The counts that iter_cells bounds before building any cell are the
+    built grid's: a cap at the count admits it, one below refuses it."""
+    config = SweepConfig(p_values=(2, 3), f_max=3, e_max=3, d_max=3, t_with_p=True,
+                         thetas_per_cell=5, max_field_bits=6)
+    cells = iter_cells(config)
+    thetas = [min(c.p ** (c.f * c.d) - 1, 5) for c in cells]
+    count = {"cells": len(cells), "instances": sum(thetas),
+             "weights": sum(n * c.size_E for n, c in zip(thetas, cells))}[what]
+    monkeypatch.setattr(sweep, cap, count)
+    assert iter_cells(config) == cells
+    monkeypatch.setattr(sweep, cap, count - 1)
+    with pytest.raises(ValueError, match=f"more than {count - 1} {what}"):
+        iter_cells(config)
+
+
 def test_iter_cells_visits_each_prime_once():
     config = dict(f_max=2, e_max=2, d_max=2, t_with_p=True)
     assert (iter_cells(SweepConfig(p_values=(2, 3, 3), **config))
