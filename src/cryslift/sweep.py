@@ -8,21 +8,28 @@ independent verifier.  Each shape's random draws are seeded from
 (seed, shape.key), so reports are byte-identical for a fixed seed
 regardless of parallelism.
 
+The cells of one field E run in a row, by e and then by t, so an
+exhaustive cell of a small field takes its characters and their digit
+expansions from a table built once for that field.  A cell builds a row
+only for an instance that the report keeps: under record="failures" no
+passing row is ever made, and a cell's instance count comes from the
+grid's arithmetic.
+
 With more than one job, pool workers take contiguous chunks of cells of
 about equal instance counts and return each chunk's totals with the rows
-it keeps: under record="failures" only failing rows travel back to the
-parent, which adds up the totals and joins the kept rows in grid order.
+it keeps, which the parent adds up and joins in grid order.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 from dataclasses import asdict, dataclass
 
 from .certio import REPORT_SCHEMA_ID, certificate_to_json
 from .errors import InfeasibleError
-from .fields import RESIDUE_DEGREE_MAX, MultChar, digits, is_prime
+from .fields import RESIDUE_DEGREE_MAX, FiniteFieldSpec, MultChar, digits, is_prime
 from .lifting import DetSpec, LocalFieldShape, _lift
 from .units import UnitExpr
 from .verify import verify_certificate
@@ -41,15 +48,21 @@ PSI_UNIFORMIZER = UnitExpr.symbol("psi(varpi_F)")
 # these caps before building any cell, since e_max has no other bound.
 # A cell takes about 150 B before it runs.  A report row, held until the
 # sweep ends, takes about 620 B: 2^20 instances are about 650 MB under
-# record="all".  An instance costs time linear in its e*f*d weights, about
+# record="all", while record="failures" builds no row for an instance
+# that passes.  An instance costs time linear in its e*f*d weights, about
 # 0.41 us each at e in the thousands on a 2-core Xeon host: 2^31 weights
 # are about 15 min of lifts on one core.  At p = 2, f = d = 1 and one
 # instance per cell, that admits e_max = 2^15 with both t (1.07e9
 # weights) and refuses e_max = 2^16 with one (2.15e9).  Criterion 4's
 # grid has 1,416 cells, 602,850 instances and 2,296,752 weights.
+# An exhaustive cell takes its characters and digits from its field's
+# table only when the field has at most THETA_TABLE_MAX exponents: the
+# table holds about 525 B per exponent, so at most about 2 MB, and this
+# covers every field of criterion 4 (at most 1,023 exponents).
 SWEEP_CELLS_MAX = 2 ** 16
 SWEEP_INSTANCES_MAX = 2 ** 20
 SWEEP_WEIGHTS_MAX = 2 ** 31
+THETA_TABLE_MAX = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -155,50 +168,58 @@ def _force_compat(
     return tuple(a)
 
 
+@functools.lru_cache(maxsize=1)
+def _theta_table(field_E: FiniteFieldSpec) -> tuple[tuple[MultChar, tuple[int, ...]], ...]:
+    """Every theta_bar of field_E with its digits, in order of exponent.
+    One entry: the cells of a field run in a row."""
+    thetas = (MultChar(field_E, b) for b in range(field_E.q - 1))
+    return tuple((c, digits(c).digits) for c in thetas)
+
+
 def run_cell(shape: LocalFieldShape, config: SweepConfig) -> list[dict]:
-    """All instance rows for one shape; deterministic from (config.seed, shape)."""
+    """The rows that the report keeps of one shape's instances: all of
+    them, or under record="failures" the failing ones.  Deterministic from
+    (config.seed, shape)."""
     rng = random.Random(f"{config.seed}:{shape.key}")
     field_E = shape.residue_field_E
     n = _theta_count(field_E.q, config)
-    bs = range(n) if n == field_E.q - 1 else sorted(rng.sample(range(field_E.q - 1), n))
+    if n == field_E.q - 1 <= THETA_TABLE_MAX:
+        thetas = _theta_table(field_E)
+    else:
+        bs = range(n) if n == field_E.q - 1 else sorted(rng.sample(range(field_E.q - 1), n))
+        thetas = ((c, digits(c).digits) for c in (MultChar(field_E, b) for b in bs))
+    keep_passed = config.record == "all"
     key = shape.key
     rows = []
-    for b in bs:
-        theta_bar = MultChar(field_E, b)
-        b_digits = digits(theta_bar).digits
+    for theta_bar, b_digits in thetas:
         a = _force_compat(rng, shape, b_digits, config.a_bound)
         psi = DetSpec(a, PSI_UNIFORMIZER)
-        row_id = f"{key},b={b}"
         try:
-            # one digit expansion per instance: the lift reuses b_digits
+            # one digit expansion per theta_bar: the lift reuses b_digits
             cert = _lift(theta_bar, b_digits, psi, shape)
         except InfeasibleError as exc:
-            rows.append(
-                {"id": row_id, "pass": False, "violations": [f"infeasible: {exc}"]}
-            )
-            continue
-        ok, violations = verify_certificate(certificate_to_json(cert))
-        rows.append({"id": row_id, "pass": ok, "violations": violations})
+            ok, violations = False, [f"infeasible: {exc}"]
+        else:
+            ok, violations = verify_certificate(certificate_to_json(cert))
+        if keep_passed or not ok:
+            rows.append({"id": f"{key},b={theta_bar.b}", "pass": ok, "violations": violations})
     return rows
 
 
 def _run_chunk(
     cells: list[LocalFieldShape], config: SweepConfig
 ) -> tuple[int, int, list[list[dict]]]:
-    """(instances, passed, kept rows per cell) for a run of cells.  Rows are
-    dropped in place, so each cell's list keeps the type run_cell gave it
-    on its way back from a pool worker (perfbench's tracer rides on it)."""
-    instances = passed = 0
+    """(instances, passed, kept rows per cell) for a run of cells.  A cell
+    runs _theta_count instances, and every one that it does not return as
+    a failing row passed."""
+    instances = failed = 0
     kept = []
     for shape in cells:
         rows = run_cell(shape, config)
-        cell_passed = sum(r["pass"] for r in rows)
-        instances += len(rows)
-        passed += cell_passed
-        if config.record == "failures":
-            rows[:] = [r for r in rows if not r["pass"]]
+        instances += _theta_count(shape.p ** (shape.f * shape.d), config)
+        failed += sum(not r["pass"] for r in rows)
         kept.append(rows)
-    return instances, passed, kept
+    return instances, instances - failed, kept
 
 
 def _chunks(
@@ -234,6 +255,8 @@ def run_sweep(config: SweepConfig) -> dict:
             results = list(pool.map(_run_chunk, chunks, [config] * len(chunks)))
     else:
         results = [_run_chunk(cells, config)]
+    # the last field's table is not kept past the sweep
+    _theta_table.cache_clear()
     instances = sum(r[0] for r in results)
     passed = sum(r[1] for r in results)
     totals = {"instances": instances, "passed": passed, "failed": instances - passed}

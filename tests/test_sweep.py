@@ -1,6 +1,6 @@
 """Byte-identity pins for certificates and sweep reports, the sweep's one
-digit expansion per instance, its grid, its worker count and the rows
-that record="failures" keeps.
+digit expansion per exponent of a field, its grid, its worker count and
+the rows that record="failures" keeps, and builds.
 
 The sweep digest predates the cut in the sweep's per-certificate work;
 the exhaustive sweep's digest predates the per-shape slices and the
@@ -18,6 +18,7 @@ import hashlib
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -117,6 +118,8 @@ def test_negative_a_bound_refused():
 
 @pytest.fixture
 def digit_calls(monkeypatch):
+    """The exponents that digits expands, in order.  The sweep's theta_bar
+    table starts and ends empty, so that no test sees another's table."""
     calls = []
 
     def counted(c):
@@ -125,17 +128,65 @@ def digit_calls(monkeypatch):
 
     monkeypatch.setattr(sweep, "digits", counted)
     monkeypatch.setattr(lifting, "digits", counted)
-    return calls
+    sweep._theta_table.cache_clear()
+    yield calls
+    sweep._theta_table.cache_clear()
 
 
 @pytest.mark.parametrize("cell", [LocalFieldShape(3, 1, 2, 1, 2),
                                   LocalFieldShape(3, 2, 1, 2, 8),
                                   LocalFieldShape(2, 1, 2, 3, 1)])
 def test_run_cell_expands_digits_once_per_instance(digit_calls, cell):
-    rows = run_cell(cell, SweepConfig(thetas_per_cell=None))
-    assert len(rows) == cell.p ** (cell.f * cell.d) - 1
-    assert all(r["pass"] for r in rows)
-    assert digit_calls == list(range(len(rows)))
+    """Once per exponent of the cell's field, over all the cells of that
+    field run in a row, as the grid runs them: by e, then by t."""
+    p, f, d = cell.p, cell.f, cell.d
+    q = p ** f
+    exponents = q ** d - 1
+    config = SweepConfig(thetas_per_cell=None)
+    for e in (1, 2):
+        for t in (q - 1, p * (q - 1)):
+            rows = run_cell(LocalFieldShape(p, f, e, d, t), config)
+            assert len(rows) == exponents
+            assert all(r["pass"] for r in rows)
+    assert digit_calls == list(range(exponents))
+
+
+def test_sampled_cell_expands_only_its_sample(digit_calls):
+    """A sampled cell of a field of 2^16 elements expands the digits of its
+    4 theta_bar, not of all 65,535."""
+    rows = run_cell(LocalFieldShape(2, 16, 1, 1, 2 ** 16 - 1), SweepConfig(thetas_per_cell=4))
+    assert len(rows) == len(digit_calls) == 4
+    assert digit_calls == sorted(set(digit_calls))
+    assert [r["id"].rsplit("=", 1)[1] for r in rows] == [str(b) for b in digit_calls]
+
+
+def test_exhaustive_cell_above_table_bound_expands_each_theta_once(digit_calls):
+    """A field of more than THETA_TABLE_MAX exponents gets no table, and
+    its cell still expands each theta_bar once."""
+    cell = LocalFieldShape(4099, 1, 1, 1, 4098)
+    assert cell.p - 1 > sweep.THETA_TABLE_MAX
+    rows = run_cell(cell, SweepConfig(thetas_per_cell=None, record="failures"))
+    assert rows == []
+    assert digit_calls == list(range(4098))
+    assert sweep._theta_table.cache_info().currsize == 0
+
+
+def test_record_failures_builds_no_passing_row():
+    """Under record="failures", an all-passing cell of 4,098 instances
+    peaks far below one row per instance: a row takes about 330 B under
+    tracemalloc, and a run_cell that built every row before it dropped the
+    passing ones peaked at 1.35 MB on this cell."""
+    cell = LocalFieldShape(4099, 1, 1, 1, 4098)
+    config = SweepConfig(thetas_per_cell=None, record="failures")
+    run_cell(cell, config)  # imports and caches fill before the measurement
+    tracemalloc.start()
+    try:
+        rows = run_cell(cell, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == []
+    assert peak < 32 * 4098
 
 
 def test_recorded_checks_by_degree(digit_calls):
