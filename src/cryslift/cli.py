@@ -33,6 +33,11 @@ EXIT_INTERNAL = 4
 # Largest M = q^d - 1 for `cryslift induction`: the oracle walks C_M per b
 # with int64 arrays of M entries, about 160 MB and 1-2 s per b at the limit.
 INDUCTION_M_MAX = 2 ** 22
+# Most group elements, b values times M, that one `cryslift induction`
+# walks: about 0.14 us each on a 2-core Xeon host, so about 75 s at the
+# limit.  Criterion 3's largest cell, 512 samples of M = 9^6 - 1, is
+# 2.7e8 elements.
+INDUCTION_WORK_MAX = 2 ** 29
 
 # Most integers that the ranges of `cryslift sweep --p-values` may span: each
 # is tested for primality before any cell runs, about 0.5 s for 2^16
@@ -153,17 +158,20 @@ def cmd_induction(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
     if args.b is not None:
-        reports = [verify_det_induction(model, args.b)]
+        bs = [args.b]
+    elif model.M <= max(args.full_b_cap, args.samples):
+        bs = range(model.M)  # a sample as large as C_M is all of it
     else:
+        bs = None
+    n_b = args.samples if bs is None else len(bs)
+    if n_b * model.M > INDUCTION_WORK_MAX:
+        raise ValueError(f"{n_b} values of b times M = {model.M} is more than "
+                         f"{INDUCTION_WORK_MAX} group elements")
+    if bs is None:
         import random
 
-        # a sample as large as C_M is all of it
-        if model.M <= max(args.full_b_cap, args.samples):
-            bs = range(model.M)
-        else:
-            rng = random.Random(args.seed)
-            bs = sorted(rng.sample(range(model.M), args.samples))
-        reports = [verify_det_induction(model, b) for b in bs]
+        bs = sorted(random.Random(args.seed).sample(range(model.M), args.samples))
+    reports = [verify_det_induction(model, b) for b in bs]
     total_bad = sum(len(r["counterexamples"]) for r in reports)
     _emit({
         "q": args.q,

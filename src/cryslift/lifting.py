@@ -90,24 +90,25 @@ class LocalFieldShape:
         """The sweep's cell key: it seeds the cell and prefixes its row ids."""
         return f"p={self.p},f={self.f},e={self.e},d={self.d},t={self.t}"
 
-    # the canonical order of Sigma_F, Sigma_E0 and Sigma_E: it depends on
-    # (f, e, d) only, and every block and fibre of it is a slice
-    @property
+    # The canonical order of Sigma_F, Sigma_E0 and Sigma_E: it depends on
+    # (f, e, d) only, and every block and fibre of it is a slice.  Its
+    # sizes and the slices of every i0 are built once per shape on first
+    # use (the sweep pickles its cells to the workers unread); ==, hash
+    # and repr ignore them.  The slices come in lists, not tuples: the
+    # tuples that lifts freed pinned memory pools, 2.5 MB more peak RSS on
+    # the verify_stream benchmark.
+    @cached_property
     def size_F(self) -> int:
         return self.e * self.f
 
-    @property
+    @cached_property
     def size_E0(self) -> int:
         return self.f * self.d
 
-    @property
+    @cached_property
     def size_E(self) -> int:
         return self.e * self.f * self.d
 
-    # The slices of every i0, built once per shape on first use (the sweep
-    # pickles its cells to the workers unread); ==, hash and repr ignore
-    # them.  Lists, not tuples: the tuples that lifts freed pinned memory
-    # pools, 2.5 MB more peak RSS on the verify_stream benchmark.
     @cached_property
     def F_blocks(self) -> list[slice]:
         """Sigma_F indices above each i0: the e determinant exponents of the block."""
@@ -211,8 +212,11 @@ def _build_weights(b: tuple[int, ...], a: tuple[int, ...],
 
 
 def _block_separation_holds(k: tuple[int, ...], shape: LocalFieldShape) -> bool:
-    blocks = [list(map(abs, k[E])) for E in shape.E_blocks]
-    return all(max(lo) < min(hi) for lo, hi in zip(blocks, blocks[1:]))
+    blocks = shape.E_blocks
+    for lo, hi in zip(blocks, blocks[1:]):
+        if max(map(abs, k[lo])) >= min(map(abs, k[hi])):
+            return False
+    return True
 
 
 def irr_crys_lift(theta_bar: MultChar, psi: DetSpec, shape: LocalFieldShape) -> LiftCertificate:
@@ -234,8 +238,8 @@ def _lift(theta_bar: MultChar, b: tuple[int, ...], psi: DetSpec,
     if not compat:
         raise InfeasibleError("incompatible (theta_bar, psi): no certificate")
     k = _build_weights(b, psi.a, shape)
-    d = shape.d
-    theta_unif = psi.uniformizer if d % 2 == 1 else psi.uniformizer.negate()
+    d, unif = shape.d, psi.uniformizer
+    theta_unif = unif if d % 2 == 1 else unif.negate()
 
     # recorded identities, each recomputed here from the raw data, one
     # pass over the Sigma_F fibres and one over the Sigma_E0 fibres; they
@@ -244,16 +248,16 @@ def _lift(theta_bar: MultChar, b: tuple[int, ...], psi: DetSpec,
         fibres = shape.F_fibres(k)
         row_sums_exact = list(map(sum, fibres)) == list(psi.a)
         m = shape.p - 1
-        col_congruent = all([
-            (s - bj) % m == 0
-            for F, J in zip(shape.F_blocks, shape.J_blocks)
-            for s, bj in zip(map(sum, zip(*fibres[F])), b[J])
-        ])
+        col_congruent = True
+        for F, J in zip(shape.F_blocks, shape.J_blocks):
+            for s, bj in zip(map(sum, zip(*fibres[F])), b[J]):
+                if (s - bj) % m:
+                    col_congruent = False
         distinct = len(set(k)) == shape.size_E
         # one block (f = 1) is separated from no other
         separation = shape.f == 1 or _block_separation_holds(k, shape)
         # global distinctness implies distinctness inside every fibre
-        regular = distinct or all(len(set(fib)) == d for fib in fibres)
+        regular = distinct or min(map(len, map(set, fibres))) == d
     else:
         # every Sigma_F fibre is the one weight above it
         row_sums_exact = k == tuple(psi.a)
@@ -261,7 +265,7 @@ def _lift(theta_bar: MultChar, b: tuple[int, ...], psi: DetSpec,
         regular = True
     # (-1)^(d-1) * theta(varpi_E) == psi(varpi_F), symbolically
     unif_sign = theta_unif if d % 2 == 1 else theta_unif.negate()
-    det_at_uniformizer = unif_sign == psi.uniformizer
+    det_at_uniformizer = unif_sign.sign == unif.sign and unif_sign.factors == unif.factors
 
     checks = {
         "eq_one_compat": compat,
@@ -279,12 +283,5 @@ def _lift(theta_bar: MultChar, b: tuple[int, ...], psi: DetSpec,
             "uniformizer is not part of the character data"
         )
     }
-    return LiftCertificate(
-        shape=shape,
-        theta_bar=theta_bar,
-        psi=psi,
-        weights=k,
-        theta_uniformizer=theta_unif,
-        checks=checks,
-        hypotheses=hypotheses,
-    )
+    # positional: keywords cost the dataclass's __init__ a fifth of a microsecond
+    return LiftCertificate(shape, theta_bar, psi, k, theta_unif, checks, hypotheses)

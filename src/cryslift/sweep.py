@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import os
 import random
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 from .certio import REPORT_SCHEMA_ID, certificate_to_json
@@ -140,32 +141,37 @@ def iter_cells(config: SweepConfig) -> list[LocalFieldShape]:
             for e in range(1, e_max + 1) for t in ts]
 
 
-def _force_compat(
-    rng: random.Random, shape: LocalFieldShape, b: tuple[int, ...], bound: int
-) -> tuple[int, ...]:
-    """Sample determinant exponents |a| <= bound and adjust one entry per
-    unramified block so that it meets its J-block of theta_bar's digits b
-    in the compatibility congruence."""
-    p = shape.p
+def _compat_draw(
+    rng: random.Random, shape: LocalFieldShape, bound: int
+) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The cell's draw of determinant exponents for theta_bar's digits b:
+    sample |a| <= bound and adjust one entry per unramified block so that
+    it meets its J-block of b in the compatibility congruence.  The draw's
+    constants are the cell's, bound here once for all its instances."""
     # the draws of rng.randrange(-bound, bound + 1): it draws bits of the
     # width's length, again while they reach the width, and adds -bound
     width = 2 * bound + 1
-    bits, getrandbits, e = width.bit_length(), rng.getrandbits, range(shape.e)
-    a: list[int] = []
-    for J in shape.J_blocks:
-        block = []
-        for _ in e:
-            r = getrandbits(bits)
-            while r >= width:
+    bits, getrandbits = width.bit_length(), rng.getrandbits
+    e, m, J_blocks = range(shape.e), shape.p - 1, shape.J_blocks
+
+    def draw(b: tuple[int, ...]) -> tuple[int, ...]:
+        a: list[int] = []
+        for J in J_blocks:
+            block = []
+            for _ in e:
                 r = getrandbits(bits)
-            block.append(r - bound)
-        delta = (sum(b[J]) - sum(block)) % (p - 1)
-        block[0] += delta
-        # 0 <= delta <= p-2, so one step of p-1 brings block[0] to at most bound-1
-        if block[0] > bound and block[0] - (p - 1) >= -bound:
-            block[0] -= p - 1
-        a.extend(block)
-    return tuple(a)
+                while r >= width:
+                    r = getrandbits(bits)
+                block.append(r - bound)
+            delta = (sum(b[J]) - sum(block)) % m
+            block[0] += delta
+            # 0 <= delta <= p-2, so one step of p-1 brings block[0] to at most bound-1
+            if block[0] > bound and block[0] - m >= -bound:
+                block[0] -= m
+            a += block
+        return tuple(a)
+
+    return draw
 
 
 @functools.lru_cache(maxsize=1)
@@ -188,12 +194,12 @@ def run_cell(shape: LocalFieldShape, config: SweepConfig) -> list[dict]:
     else:
         bs = range(n) if n == field_E.q - 1 else sorted(rng.sample(range(field_E.q - 1), n))
         thetas = ((c, digits(c).digits) for c in (MultChar(field_E, b) for b in bs))
+    draw = _compat_draw(rng, shape, config.a_bound)
     keep_passed = config.record == "all"
     key = shape.key
     rows = []
     for theta_bar, b_digits in thetas:
-        a = _force_compat(rng, shape, b_digits, config.a_bound)
-        psi = DetSpec(a, PSI_UNIFORMIZER)
+        psi = DetSpec(draw(b_digits), PSI_UNIFORMIZER)
         try:
             # one digit expansion per theta_bar: the lift reuses b_digits
             cert = _lift(theta_bar, b_digits, psi, shape)
@@ -251,6 +257,11 @@ def run_sweep(config: SweepConfig) -> dict:
         from concurrent.futures import ProcessPoolExecutor
 
         chunks = _chunks(cells, config, jobs * CHUNKS_PER_WORKER)
+        # Each call forks its own pool and joins it.  Workers forked once
+        # would keep the module state of the first call, so a function
+        # patched on this module later (a test's stub, a tracer's wrapper)
+        # would not run in them; and children that outlive the call are not
+        # reaped when a caller accounts for the resources of its children.
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_chunk, chunks, [config] * len(chunks)))
     else:

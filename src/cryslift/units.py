@@ -75,5 +75,4 @@ class UnitExpr:
 
     def to_json(self) -> dict:
         """The wire format's unit object: a fresh dict and lists per call."""
-        return {"sign": self.sign,
-                "factors": [[label, num, den] for label, num, den in self._json_factors]}
+        return {"sign": self.sign, "factors": list(map(list, self._json_factors))}

@@ -157,6 +157,66 @@ class TestMutations:
         assert json.loads(capsys.readouterr().out)["kind"] == "internal-invariant"
 
 
+def _three_block_doc():
+    """A real certificate of p = 3, f = 3, e = 2, d = 3: three i0-blocks,
+    each of two Sigma_F fibres of three weights, every check true."""
+    p, f, e, d, b = 3, 3, 2, 3, 12345
+    bd = digits(MultChar(FiniteFieldSpec(p, f * d), b)).digits
+    a = []
+    for i0 in range(f):
+        block = [2 * i0 + 1, -i0]
+        block[0] += (sum(bd[i0::f]) - sum(block)) % (p - 1)
+        a += block
+    return certificate_to_json(build_cert(p, f, e, d, None, b, tuple(a)))
+
+
+def _shift(values, i, delta):
+    values[i] = str(int(values[i]) + delta)
+
+
+def _set(values, i, value):
+    values[i] = value
+
+
+# One fault per identity, in the last i0-block, its last Sigma_F fibre
+# (weights[-3:]) or its last column (weights[-1]); d = 3, and p - 1 = 2
+# makes every +1 change a congruence class.
+IDENTITY_FAULTS = {
+    # the last block's determinant exponents leave the J-block's class
+    "eq_one_compat": lambda doc: _shift(doc["psi"]["a"], -1, 1),
+    # the last column's sum leaves its digit's class
+    "lifts_theta_bar": lambda doc: _shift(doc["weights"], -1, 1),
+    # the last weight repeats the one d places before it, in another fibre
+    "weights_distinct": lambda doc: _set(doc["weights"], -1, doc["weights"][-4]),
+    # a weight of the last block falls below the block before it
+    "block_separation": lambda doc: _set(doc["weights"], -1, "0"),
+    # the last fibre repeats a weight
+    "regular": lambda doc: _set(doc["weights"], -1, doc["weights"][-2]),
+}
+
+
+class TestEachIdentityCanFail:
+    """The verifier recomputes each identity over every block, fibre and
+    column: a fault in the last of them, with the recorded checks left as
+    built, fails that identity.  A recomputation replaced by True, or one
+    that stopped a loop early or read block 0 only, would pass it."""
+
+    def test_untampered_certificate_passes(self):
+        doc = _three_block_doc()
+        assert all(doc["checks"].values())
+        assert verify_certificate(doc) == (True, [])
+
+    @pytest.mark.parametrize("name", sorted(IDENTITY_FAULTS))
+    def test_fault_fails_identity(self, name):
+        doc = _three_block_doc()
+        checks = dict(doc["checks"])
+        IDENTITY_FAULTS[name](doc)
+        ok, violations = verify_certificate(doc)
+        assert doc["checks"] == checks
+        assert not ok
+        assert f"identity {name} fails on recomputation" in violations
+
+
 class TestVerifierBounds:
     """The verifier returns a verdict quickly on every schema-valid document."""
 

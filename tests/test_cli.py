@@ -313,6 +313,45 @@ def test_induction_largest_acceptance_m(capsys):
     assert doc["M"] == 531440 and doc["pass"]
 
 
+def _no_oracle_call(model, b):
+    raise AssertionError(f"verify_det_induction called at M = {model.M}, b = {b}")
+
+
+@pytest.mark.parametrize("argv, n_b", [
+    ([], 512),  # the default --samples
+    (["--samples", "4194303"], 2 ** 22 - 1),
+    (["--full-b-cap", "5000000"], 2 ** 22 - 1),
+], ids=["default", "samples", "full-b-cap"])
+def test_induction_above_work_cap_exit_2(capsys, monkeypatch, argv, n_b):
+    """b values times M = 2^22 - 1 past INDUCTION_WORK_MAX is refused (2)
+    before any b is checked: unbounded, the default 512 samples would walk
+    2.1e9 group elements, about 5 minutes."""
+    monkeypatch.setattr(cli, "verify_det_induction", _no_oracle_call)
+    started = time.perf_counter()
+    code, doc = run_cli(capsys, "induction", "--q", "2", "--d", "22", *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert doc == {"kind": "bad-input",
+                   "error": f"{n_b} values of b times M = {2 ** 22 - 1} is more than "
+                            f"{cli.INDUCTION_WORK_MAX} group elements"}
+
+
+def test_induction_acceptance_cell_within_work_cap(capsys, monkeypatch):
+    """The README's criterion-3 loop stays within the cap: its largest
+    cell, 512 samples of M = 9^6 - 1, runs every sampled b."""
+    checked = []
+
+    def oracle(model, b):
+        checked.append(b)
+        return {"counterexamples": []}
+
+    monkeypatch.setattr(cli, "verify_det_induction", oracle)
+    code, doc = run_cli(capsys, "induction", "--q", "9", "--d", "6",
+                        "--full-b-cap", "4000", "--samples", "512")
+    assert code == 0
+    assert doc["M"] == 531440 and doc["b_values_checked"] == len(set(checked)) == 512
+
+
 def test_twist(capsys):
     code, doc = run_cli(
         capsys, "twist", "--p", "3", "--f", "1", "--e", "1", "--d", "2",

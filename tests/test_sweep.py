@@ -71,6 +71,26 @@ def test_certificate_bytes_pinned():
     assert _sha256("".join(dumps(certificate_to_json(c)) for c in certs)) == CERT_DIGEST
 
 
+def test_certificate_documents_share_no_mutable_part():
+    """certificate_to_json returns a fresh dict and fresh lists per call,
+    though units and shapes format their JSON once: edits to one
+    document's unit factor triple, factors list, shape and checks leave
+    the next document, the unit and the pinned bytes as they were."""
+    certs = list(_pinned_certificates())
+    cert = next(c for c in certs if c.shape.d % 2)  # theta's unit is psi's
+    doc = certificate_to_json(cert)
+    built = json.loads(json.dumps(doc))
+    unit = U.to_json()
+    doc["psi"]["uniformizer"]["factors"][0][1] = "7"
+    doc["theta_uniformizer"]["factors"].append(["x", "1", "1"])
+    doc["shape"]["p"] = "11"
+    doc["checks"]["regular"] = False
+    assert doc["theta_uniformizer"]["factors"][0] == ["psi(varpi_F)", "1", "1"]
+    assert certificate_to_json(cert) == built
+    assert U.to_json() == unit == {"sign": 1, "factors": [["psi(varpi_F)", "1", "1"]]}
+    assert _sha256("".join(dumps(certificate_to_json(c)) for c in certs)) == CERT_DIGEST
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_report_bytes_pinned(jobs):
     report = run_sweep(SweepConfig(jobs=jobs, **SWEEP_CONFIG))
