@@ -10,6 +10,7 @@ Submodules:
 * certio     -- JSON wire format and schemas
 * verify     -- independent certificate verifier
 * sweep      -- grid sweep driver
+* budget     -- the work budget that every command's work is held to
 * cli        -- command-line entry point
 """
 

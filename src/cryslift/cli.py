@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
+import random
 import stat
 import sys
 import time
 
-from . import certio, verify
+from . import budget, certio, verify
 from .errors import CertificateError, InfeasibleError
 from .fields import RESIDUE_DEGREE_MAX, FiniteFieldSpec, MultChar, digits, is_prime
 from .induction import FrobeniusModel, verify_det_induction
@@ -30,20 +32,6 @@ EXIT_BAD_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
 
-# Largest M = q^d - 1 for `cryslift induction`: the oracle walks C_M per b
-# with int64 arrays of M entries, about 160 MB and 1-2 s per b at the limit.
-INDUCTION_M_MAX = 2 ** 22
-# Most group elements, b values times M, that one `cryslift induction`
-# walks: about 0.14 us each on a 2-core Xeon host, so about 75 s at the
-# limit.  Criterion 3's largest cell, 512 samples of M = 9^6 - 1, is
-# 2.7e8 elements.
-INDUCTION_WORK_MAX = 2 ** 29
-
-# Most integers that the ranges of `cryslift sweep --p-values` may span: each
-# is tested for primality before any cell runs, about 0.5 s for 2^16
-# integers near 2^64 and 0.1 s below 2^16.
-P_RANGE_MAX = 2 ** 16
-
 
 def _emit(obj: dict) -> None:
     sys.stdout.write(certio.dumps(obj))
@@ -56,7 +44,7 @@ def _int_list(text: str) -> list[int]:
 def _p_values(text: str, bits: int) -> list[int]:
     """Comma-separated primes, where LO-HI stands for every prime in [LO, HI]
     up to 2^bits: a larger prime has no cell, since every cell has p <= 2^bits.
-    The ranges may span at most P_RANGE_MAX integers together."""
+    Every integer of the ranges is tested, within the work budget."""
     ps: list[int] = []
     spanned = 0
     for part in text.split(","):
@@ -68,9 +56,7 @@ def _p_values(text: str, bits: int) -> list[int]:
             if hi.bit_length() > bits:
                 hi = min(hi, 2 ** max(bits, 0))
             spanned += max(hi - lo + 1, 0)
-            if spanned > P_RANGE_MAX:
-                raise ValueError(f"--p-values ranges span more than {P_RANGE_MAX} "
-                                 "integers up to 2^max-field-bits")
+            budget.require({"integers tested for primality": spanned}, {})
             ps.extend(p for p in range(lo, hi + 1) if is_prime(p))
         elif part.strip():
             ps.append(int(part))
@@ -106,8 +92,11 @@ def cmd_digits(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _emit_matrix(x: list[list[int]], *problem) -> int:
-    ok, violations = verify_assignment(x, *problem)
+def _solve_matrix(solver, a: list[int], b: list[int], *rest) -> int:
+    """Print solver's self-checked matrix for the problem (a, b, *rest)."""
+    budget.require({"matrix entries": len(a) * len(b)})
+    x = solver(a, b, *rest)
+    ok, violations = verify_assignment(x, a, b, *rest)
     if not ok:
         raise AssertionError(f"solver output failed self-check: {violations}")
     for i, row in enumerate(x):
@@ -117,13 +106,12 @@ def _emit_matrix(x: list[list[int]], *problem) -> int:
 
 
 def cmd_transport(args: argparse.Namespace) -> int:
-    a, b = _int_list(args.a), _int_list(args.b)
-    return _emit_matrix(transport(a, b), a, b)
+    return _solve_matrix(transport, _int_list(args.a), _int_list(args.b))
 
 
 def cmd_regular(args: argparse.Namespace) -> int:
-    problem = (_int_list(args.a), _int_list(args.b), args.m, args.C)
-    return _emit_matrix(regular_transport(*problem), *problem)
+    return _solve_matrix(regular_transport, _int_list(args.a), _int_list(args.b),
+                         args.m, args.C)
 
 
 def _shape(args: argparse.Namespace) -> LocalFieldShape:
@@ -134,6 +122,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
     # the shape compares t with q-1 by bit lengths first; E's residue field
     # refuses an f*d above RESIDUE_DEGREE_MAX before it computes p^(f*d)
     shape = _shape(args)
+    budget.require({"lift weights": shape.size_E})
     theta_bar = MultChar(shape.residue_field_E, args.theta_bar)
     psi = DetSpec(tuple(_int_list(args.a)), UnitExpr.symbol("psi(varpi_F)"))
     cert = irr_crys_lift(theta_bar, psi, shape)
@@ -152,36 +141,20 @@ def cmd_lift(args: argparse.Namespace) -> int:
 
 def cmd_induction(args: argparse.Namespace) -> int:
     model = FrobeniusModel(args.q, args.d)
-    # q >= 2, so a d at or past the limit's bit length puts M above it
-    if model.d >= INDUCTION_M_MAX.bit_length() or model.M > INDUCTION_M_MAX:
-        raise ValueError(f"M = q^d - 1 must be at most {INDUCTION_M_MAX}")
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
-    if args.b is not None:
-        bs = [args.b]
-    elif model.M <= max(args.full_b_cap, args.samples):
-        bs = range(model.M)  # a sample as large as C_M is all of it
-    else:
-        bs = None
-    n_b = args.samples if bs is None else len(bs)
-    if n_b * model.M > INDUCTION_WORK_MAX:
-        raise ValueError(f"{n_b} values of b times M = {model.M} is more than "
-                         f"{INDUCTION_WORK_MAX} group elements")
-    if bs is None:
-        import random
-
-        bs = sorted(random.Random(args.seed).sample(range(model.M), args.samples))
-    reports = [verify_det_induction(model, b) for b in bs]
-    total_bad = sum(len(r["counterexamples"]) for r in reports)
-    _emit({
-        "q": args.q,
-        "d": args.d,
-        "M": model.M,
-        "b_values_checked": len(reports),
-        "counterexamples": [c for r in reports for c in r["counterexamples"]],
-        "pass": total_bad == 0,
-    })
-    return EXIT_OK if total_bad == 0 else EXIT_INFEASIBLE
+    # q >= 2: q^d is computed only below 2^1000, where the budget ends long before
+    M = model.M if model.d * (model.q.bit_length() - 1) < 1000 else 2 ** 1000
+    # one b, all of C_M (a sample as large as C_M is all of it), or a sample
+    n_b = 1 if args.b is not None else min(M, args.samples) if M > args.full_b_cap else M
+    # each b walks all of C_M with arrays of M entries, freed before the next
+    budget.require({"oracle group elements": n_b * M}, {"oracle group elements": M})
+    bs = ([args.b] if args.b is not None else range(M) if n_b == M
+          else sorted(random.Random(args.seed).sample(range(M), n_b)))
+    bad = [c for b in bs for c in verify_det_induction(model, b)["counterexamples"]]
+    _emit({"q": args.q, "d": args.d, "M": M, "b_values_checked": len(bs),
+           "counterexamples": bad, "pass": not bad})
+    return EXIT_INFEASIBLE if bad else EXIT_OK
 
 
 def cmd_twist(args: argparse.Namespace) -> int:
@@ -194,19 +167,10 @@ def cmd_twist(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = SweepConfig(
-        p_values=tuple(_p_values(args.p_values, args.max_field_bits)),
-        f_max=args.f_max,
-        e_max=args.e_max,
-        d_max=args.d_max,
-        t_with_p=args.t_with_p,
-        a_bound=args.a_bound,
-        thetas_per_cell=args.thetas_per_cell,
-        seed=args.seed,
-        jobs=args.jobs,
-        max_field_bits=args.max_field_bits,
-        record=args.record,
-    )
+    # each field of the config is the option of its name, --p-values parsed
+    options = {f.name: getattr(args, f.name) for f in dataclasses.fields(SweepConfig)}
+    config = SweepConfig(**options | {
+        "p_values": tuple(_p_values(args.p_values, args.max_field_bits))})
     # --out is opened first, so that a bad path fails before the grid runs,
     # but emptied only to take the report: a refused or failed sweep leaves
     # the file as it was

@@ -161,13 +161,6 @@ class LiftCertificate:
     hypotheses: dict = field(default_factory=dict)
 
 
-def _digits(theta_bar: MultChar, shape: LocalFieldShape) -> tuple[int, ...]:
-    """theta_bar's digits over Sigma_E0."""
-    if (theta_bar.field.p, theta_bar.field.f) != (shape.p, shape.f * shape.d):
-        raise ValueError("theta_bar lives over the wrong residue field")
-    return digits(theta_bar).digits
-
-
 def _compat(b: tuple[int, ...], psi: DetSpec, shape: LocalFieldShape) -> bool:
     """Residue compatibility of psi against theta_bar's digits b, in
     exponent form.
@@ -228,7 +221,9 @@ def irr_crys_lift(theta_bar: MultChar, psi: DetSpec, shape: LocalFieldShape) -> 
     The uniformizer value of the lifted character is (-1)^(d-1) times the
     determinant's value, per determinant-of-induction.
     """
-    return _lift(theta_bar, _digits(theta_bar, shape), psi, shape)
+    if (theta_bar.field.p, theta_bar.field.f) != (shape.p, shape.f * shape.d):
+        raise ValueError("theta_bar lives over the wrong residue field")
+    return _lift(theta_bar, digits(theta_bar).digits, psi, shape)
 
 
 def _lift(theta_bar: MultChar, b: tuple[int, ...], psi: DetSpec,

@@ -25,10 +25,12 @@ from __future__ import annotations
 import functools
 import os
 import random
+import sys
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
-from .certio import REPORT_SCHEMA_ID, certificate_to_json
+from . import budget
+from .certio import MAX_INT_STR_LEN, REPORT_SCHEMA_ID, certificate_to_json
 from .errors import InfeasibleError
 from .fields import RESIDUE_DEGREE_MAX, FiniteFieldSpec, MultChar, digits, is_prime
 from .lifting import DetSpec, LocalFieldShape, _lift
@@ -45,24 +47,8 @@ CHUNKS_PER_WORKER = 16
 # process writes its JSON and its negation once.
 PSI_UNIFORMIZER = UnitExpr.symbol("psi(varpi_F)")
 
-# iter_cells counts the grid by arithmetic and refuses one past any of
-# these caps before building any cell, since e_max has no other bound.
-# A cell takes about 150 B before it runs.  A report row, held until the
-# sweep ends, takes about 620 B: 2^20 instances are about 650 MB under
-# record="all", while record="failures" builds no row for an instance
-# that passes.  An instance costs time linear in its e*f*d weights, about
-# 0.41 us each at e in the thousands on a 2-core Xeon host: 2^31 weights
-# are about 15 min of lifts on one core.  At p = 2, f = d = 1 and one
-# instance per cell, that admits e_max = 2^15 with both t (1.07e9
-# weights) and refuses e_max = 2^16 with one (2.15e9).  Criterion 4's
-# grid has 1,416 cells, 602,850 instances and 2,296,752 weights.
-# An exhaustive cell takes its characters and digits from its field's
-# table only when the field has at most THETA_TABLE_MAX exponents: the
-# table holds about 525 B per exponent, so at most about 2 MB, and this
-# covers every field of criterion 4 (at most 1,023 exponents).
-SWEEP_CELLS_MAX = 2 ** 16
-SWEEP_INSTANCES_MAX = 2 ** 20
-SWEEP_WEIGHTS_MAX = 2 ** 31
+# An exhaustive cell takes its thetas from its field's table only up to
+# THETA_TABLE_MAX exponents, at about 525 B each: 2 MB at most.
 THETA_TABLE_MAX = 2 ** 12
 
 
@@ -93,6 +79,9 @@ class SweepConfig:
             raise ValueError("thetas_per_cell must be >= 1, or None for every theta_bar")
         if self.a_bound < 0:
             raise ValueError("a_bound must be >= 0")
+        if self.a_bound >= 10 ** (MAX_INT_STR_LEN - 1):  # -a_bound may be drawn
+            raise ValueError(f"a_bound must be below 10^{MAX_INT_STR_LEN - 1}, so that a "
+                             f"drawn exponent has at most {MAX_INT_STR_LEN} characters")
         if not all(is_prime(p) for p in self.p_values):
             raise ValueError("p_values must all be prime")
         if self.record not in ("all", "failures"):
@@ -108,12 +97,11 @@ def _theta_count(q: int, config: SweepConfig) -> int:
 
 def iter_cells(config: SweepConfig) -> list[LocalFieldShape]:
     """The grid's cells in order, each distinct prime of p_values once.
-    A grid of more than SWEEP_CELLS_MAX cells, SWEEP_INSTANCES_MAX
-    instances or SWEEP_WEIGHTS_MAX weights is refused before any cell is
-    built."""
+    The grid's work is counted by arithmetic, and refused past the work
+    budget before any cell is built."""
     cap = 2 ** config.max_field_bits
-    e_max = config.e_max
-    cells = instances = weights = 0
+    e_max, keep_rows = config.e_max, config.record == "all"
+    cells = instances = weights = most_thetas = most_weights = 0
     groups = []
     # p^f and p^(f*d) only grow with f and d, so both loops stop at the cap
     for p in sorted(set(config.p_values)):
@@ -126,16 +114,21 @@ def iter_cells(config: SweepConfig) -> list[LocalFieldShape]:
                 if q_E > cap:
                     break
                 ts = [q - 1] + ([p * (q - 1)] if config.t_with_p else [])
-                # each e runs n instances over its t values, each of e*f*d weights
-                n = _theta_count(q_E, config) * len(ts)
+                # each e runs a cell per t value, each of thetas instances of e*f*d weights
+                thetas = _theta_count(q_E, config)
                 cells += e_max * len(ts)
-                instances += e_max * n
-                weights += e_max * (e_max + 1) // 2 * f * d * n
-                for total, most, what in ((cells, SWEEP_CELLS_MAX, "cells"),
-                                          (instances, SWEEP_INSTANCES_MAX, "instances"),
-                                          (weights, SWEEP_WEIGHTS_MAX, "weights")):
-                    if total > most:
-                        raise ValueError(f"the sweep grid has more than {most} {what}")
+                instances += e_max * len(ts) * thetas
+                weights += e_max * (e_max + 1) // 2 * f * d * len(ts) * thetas
+                most_thetas = max(most_thetas, thetas)
+                most_weights = max(most_weights, e_max * f * d)
+                # cells and kept rows are held until the sweep ends, and one
+                # cell's sample and one instance's weights at a time
+                rows = instances if keep_rows else 0
+                budget.require(
+                    {"cells": cells, "sweep instances": instances,
+                     "lift weights": weights, "report rows": rows},
+                    {"cells": cells, "sweep instances": most_thetas,
+                     "lift weights": most_weights, "report rows": rows})
                 groups.append((p, f, d, ts))
     return [LocalFieldShape(p, f, e, d, t) for p, f, d, ts in groups
             for e in range(1, e_max + 1) for t in ts]
@@ -174,6 +167,17 @@ def _compat_draw(
     return draw
 
 
+def _sample(rng: random.Random, N: int, n: int) -> list[int]:
+    """sorted(rng.sample(range(N), n)), also past sys.maxsize, where
+    range(N) has no len(): there sample would draw by rejecting repeats."""
+    if N <= sys.maxsize:
+        return sorted(rng.sample(range(N), n))
+    drawn: set[int] = set()
+    while len(drawn) < n:
+        drawn.add(rng.randrange(N))
+    return sorted(drawn)
+
+
 @functools.lru_cache(maxsize=1)
 def _theta_table(field_E: FiniteFieldSpec) -> tuple[tuple[MultChar, tuple[int, ...]], ...]:
     """Every theta_bar of field_E with its digits, in order of exponent.
@@ -192,7 +196,7 @@ def run_cell(shape: LocalFieldShape, config: SweepConfig) -> list[dict]:
     if n == field_E.q - 1 <= THETA_TABLE_MAX:
         thetas = _theta_table(field_E)
     else:
-        bs = range(n) if n == field_E.q - 1 else sorted(rng.sample(range(field_E.q - 1), n))
+        bs = range(n) if n == field_E.q - 1 else _sample(rng, field_E.q - 1, n)
         thetas = ((c, digits(c).digits) for c in (MultChar(field_E, b) for b in bs))
     draw = _compat_draw(rng, shape, config.a_bound)
     keep_passed = config.record == "all"

@@ -16,7 +16,6 @@ from cryslift import cli
 from cryslift.cli import main
 from cryslift.fields import RESIDUE_DEGREE_MAX
 from cryslift.lifting import DetSpec, irr_crys_lift
-from cryslift.sweep import SWEEP_CELLS_MAX, SWEEP_INSTANCES_MAX, SWEEP_WEIGHTS_MAX
 from cryslift.transport import verify_assignment
 from cryslift.units import UnitExpr
 
@@ -296,14 +295,23 @@ def test_induction(capsys):
     assert doc["counterexamples"] == []
 
 
-@pytest.mark.parametrize("q, d", [(2, 40), (2, 23), (2049, 2), (3, 10 ** 9)])
-def test_induction_above_m_limit_exit_2(capsys, q, d):
+BUDGET = "past the work budget of 60 s and 256 MB"
+
+
+@pytest.mark.parametrize("q, d, prediction", [
+    (2, 40, "1.1e+12 oracle group elements predict 1.319e+05 s and 4.398e+07 MB"),
+    # 335 MB of arrays for one b
+    (2, 23, "8.389e+06 oracle group elements predict 1.007 s and 335.5 MB"),
+    # q^d is not computed past 2^1000
+    (3, 10 ** 9, "over 1e300 oracle group elements predict 1.286e+294 s and 4.286e+296 MB"),
+], ids=["2-40", "2-23", "3-1000000000"])
+def test_induction_above_m_limit_exit_2(capsys, q, d, prediction):
+    """One b of an M whose walk is past the memory budget is refused."""
     started = time.perf_counter()
     code, doc = run_cli(capsys, "induction", "--q", str(q), "--d", str(d), "--b", "1")
     assert time.perf_counter() - started < 1.0
     assert code == 2
-    assert doc["kind"] == "bad-input"
-    assert "at most 4194304" in doc["error"]
+    assert doc == {"kind": "bad-input", "error": f"{prediction}, {BUDGET}"}
 
 
 def test_induction_largest_acceptance_m(capsys):
@@ -317,13 +325,15 @@ def _no_oracle_call(model, b):
     raise AssertionError(f"verify_det_induction called at M = {model.M}, b = {b}")
 
 
-@pytest.mark.parametrize("argv, n_b", [
-    ([], 512),  # the default --samples
-    (["--samples", "4194303"], 2 ** 22 - 1),
-    (["--full-b-cap", "5000000"], 2 ** 22 - 1),
+@pytest.mark.parametrize("argv, prediction", [
+    # the default --samples
+    ([], "2.147e+09 oracle group elements predict 257.7 s and 167.8 MB"),
+    (["--samples", "4194303"], "1.759e+13 oracle group elements predict 2.111e+06 s and 167.8 MB"),
+    (["--full-b-cap", "5000000"],
+     "1.759e+13 oracle group elements predict 2.111e+06 s and 167.8 MB"),
 ], ids=["default", "samples", "full-b-cap"])
-def test_induction_above_work_cap_exit_2(capsys, monkeypatch, argv, n_b):
-    """b values times M = 2^22 - 1 past INDUCTION_WORK_MAX is refused (2)
+def test_induction_above_work_cap_exit_2(capsys, monkeypatch, argv, prediction):
+    """b values times M = 2^22 - 1 past the time budget is refused (2)
     before any b is checked: unbounded, the default 512 samples would walk
     2.1e9 group elements, about 5 minutes."""
     monkeypatch.setattr(cli, "verify_det_induction", _no_oracle_call)
@@ -331,9 +341,7 @@ def test_induction_above_work_cap_exit_2(capsys, monkeypatch, argv, n_b):
     code, doc = run_cli(capsys, "induction", "--q", "2", "--d", "22", *argv)
     assert time.perf_counter() - started < 1.0
     assert code == 2
-    assert doc == {"kind": "bad-input",
-                   "error": f"{n_b} values of b times M = {2 ** 22 - 1} is more than "
-                            f"{cli.INDUCTION_WORK_MAX} group elements"}
+    assert doc == {"kind": "bad-input", "error": f"{prediction}, {BUDGET}"}
 
 
 def test_induction_acceptance_cell_within_work_cap(capsys, monkeypatch):
@@ -423,7 +431,7 @@ def test_refused_sweep_keeps_out_file(capsys, tmp_path):
     out.write_bytes(b"an earlier report\n" * 1000)
     before = out.read_bytes()
     code, doc = run_cli(capsys, "sweep", "--p-values", "2", "--f-max", "1",
-                        "--e-max", str(SWEEP_CELLS_MAX + 1), "--d-max", "1",
+                        "--e-max", "100000000", "--d-max", "1",
                         "--thetas-per-cell", "1", "--out", str(out))
     assert code == 2 and doc["kind"] == "bad-input"
     assert out.read_bytes() == before
@@ -503,33 +511,76 @@ def _run_cli_limited(*argv: str) -> subprocess.CompletedProcess:
     return _run_limited("from cryslift.cli import main; sys.exit(main(sys.argv[2:]))", *argv)
 
 
-def test_sweep_e_max_above_cell_cap_exit_2():
+def test_sweep_e_max_above_cell_cap_exit_2(capsys):
     """e_max has no bound of its own: a grid of 10^8 cells is refused (2)
-    before any cell is built, in a child process with 1 GB of address
-    space, within a second."""
-    out = _run_cli_limited("sweep", "--p-values", "2", "--f-max", "1", "--e-max", "100000000",
-                           "--d-max", "1", "--thetas-per-cell", "1")
-    assert out.returncode == 2, out.stderr
-    assert json.loads(out.stdout) == {
-        "kind": "bad-input", "error": f"the sweep grid has more than {SWEEP_CELLS_MAX} cells"}
+    by its prediction, before any cell is built."""
+    code, doc = run_cli(capsys, "sweep", "--p-values", "2", "--f-max", "1",
+                        "--e-max", "100000000", "--d-max", "1", "--thetas-per-cell", "1")
+    assert code == 2
+    assert doc == {"kind": "bad-input", "error": (
+        "1e+08 cells, 1e+08 sweep instances, 5e+15 lift weights, 1e+08 report rows "
+        f"predict 6.5e+09 s and 2.45e+05 MB, {BUDGET}")}
 
 
-@pytest.mark.parametrize("argv,error", [
+@pytest.mark.parametrize("argv,prediction", [
     # 65,536 cells of one instance each, but sum(e) = 2^31 weights
     (["--p-values", "2", "--e-max", "65536", "--thetas-per-cell", "1"],
-     f"more than {SWEEP_WEIGHTS_MAX} weights"),
-    # 393 cells of one weight per instance, but 26M instances: about 16 GB
-    # of rows under --record all
+     "6.554e+04 cells, 6.554e+04 sweep instances, 2.148e+09 lift weights, 6.554e+04 report "
+     "rows predict 2799 s and 160.6 MB"),
+    # 393 cells of one weight per instance, but 26M instances: the rows of
+    # the first six cells under --record all are past the memory budget
     (["--p-values", "65537-70000", "--max-field-bits", "17", "--e-max", "1",
       "--thetas-per-cell", "all"],
-     f"more than {SWEEP_INSTANCES_MAX} instances"),
+     "6 cells, 3.933e+05 sweep instances, 3.933e+05 lift weights, 3.933e+05 report rows "
+     "predict 18.21 s and 284.5 MB"),
 ], ids=["weights", "instances"])
-def test_sweep_work_above_cap_exit_2(argv, error):
-    """A grid within the cell cap whose instances or weights are past
-    theirs is refused (2) before any cell is built."""
-    out = _run_cli_limited("sweep", "--f-max", "1", "--d-max", "1", *argv)
-    assert out.returncode == 2, out.stderr
-    assert json.loads(out.stdout) == {"kind": "bad-input", "error": f"the sweep grid has {error}"}
+def test_sweep_work_above_cap_exit_2(capsys, argv, prediction):
+    """A grid of few cells whose instances or weights are past the budget
+    is refused (2) before any cell is built."""
+    code, doc = run_cli(capsys, "sweep", "--f-max", "1", "--d-max", "1", *argv)
+    assert code == 2
+    assert doc == {"kind": "bad-input", "error": f"{prediction}, {BUDGET}"}
+
+
+def _square_problem(command: str, n: int, *more: str) -> list[str]:
+    """An n x n problem: n row sums of 1, and n column sums that add to n."""
+    return [command, "--a", ",".join(["1"] * n), "--b", ",".join(["0"] * (n - 1) + [str(n)]),
+            *more]
+
+
+@pytest.mark.parametrize("argv", [
+    # 1.3e8 weights; each of these three exited 1 with a MemoryError traceback
+    # when nothing bounded its work
+    ["lift", "--p", "2", "--f", "1", "--e", "2000", "--d", "65536", "--t", "1",
+     "--theta-bar", "0", "--a", ",".join(["0"] * 2000)],
+    _square_problem("transport", 5000),
+    _square_problem("regular", 20000, "--m", "3"),
+    ["sweep", "--p-values", "2", "--f-max", "1", "--e-max", "100000000", "--d-max", "1",
+     "--thetas-per-cell", "1"],
+    ["sweep", "--p-values", "2", "--f-max", "1", "--d-max", "1", "--e-max", "65536",
+     "--thetas-per-cell", "1"],
+    ["sweep", "--p-values", "65537-70000", "--max-field-bits", "17", "--f-max", "1",
+     "--e-max", "1", "--d-max", "1", "--thetas-per-cell", "all"],
+    ["sweep", "--p-values", "2-100000000000", "--max-field-bits", "40"],
+    ["sweep", "--p-values", "2-40000,50000-90000", "--max-field-bits", "40"],
+    ["induction", "--q", "2", "--d", "40", "--b", "1"],
+    ["induction", "--q", "2", "--d", "23", "--b", "1"],
+    ["induction", "--q", "3", "--d", str(10 ** 9), "--b", "1"],
+    ["induction", "--q", "2", "--d", "22"],
+    ["induction", "--q", "2", "--d", "22", "--samples", "4194303"],
+    ["induction", "--q", "2", "--d", "22", "--full-b-cap", "5000000"],
+], ids=["lift", "transport", "regular", "sweep-cells", "sweep-weights", "sweep-instances",
+        "p-range", "p-ranges-grid", "induction-M-2^40", "induction-M-2^23",
+        "induction-d-10^9", "induction-samples-default", "induction-samples",
+        "induction-full-b-cap"])
+def test_work_past_budget_exit_2(argv):
+    """Every work refusal, run as the console script would be, in a child
+    process with 1 GB of address space: one bad-input document naming the
+    budget on stdout, nothing on stderr, exit 2 within a second."""
+    out = _run_cli_limited(*argv)
+    assert (out.returncode, out.stderr) == (2, "")
+    doc = json.loads(out.stdout)
+    assert doc["kind"] == "bad-input" and doc["error"].endswith(BUDGET), doc
 
 
 @pytest.mark.parametrize("expr", [
@@ -557,6 +608,25 @@ def test_sweep_max_field_bits_at_cap_runs(capsys, tmp_path):
                  "--out", str(out)]) == 0
     capsys.readouterr()
     assert json.loads(out.read_text())["totals"] == {"instances": 1, "passed": 1, "failed": 0}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_field_of_2_64_elements(capsys, tmp_path, jobs):
+    """The sampled cells of fields up to 2^64 elements run, though
+    range(q - 1) has no len() past 2^63 - 1."""
+    out = tmp_path / "r.json"
+    assert main(["sweep", "--p-values", "2", "--f-max", "64", "--e-max", "1", "--d-max", "1",
+                 "--max-field-bits", "64", "--jobs", jobs, "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    # 2^f - 1 thetas at f <= 4, and 16 from f = 5 on
+    assert report["totals"] == {"instances": 986, "passed": 986, "failed": 0}
+    assert len(report["instances"]) == 986 and all(r["pass"] for r in report["instances"])
+
+
+def test_sweep_a_bound_past_wire_format_exit_2(capsys):
+    code, doc = run_cli(capsys, "sweep", "--a-bound", "1" + "0" * 3999)
+    assert code == 2 and doc["kind"] == "bad-input" and "a_bound" in doc["error"]
 
 
 def test_digits_prime_above_2_64_exit_2(capsys):
@@ -646,8 +716,7 @@ def test_sweep_prime_ranges_past_limit_exit_2(capsys, text):
     code, doc = run_cli(capsys, "sweep", "--p-values", text, "--max-field-bits", "40")
     assert time.perf_counter() - started < 1.0
     assert code == 2
-    assert doc == {"kind": "bad-input", "error": "--p-values ranges span more than 65536 "
-                   "integers up to 2^max-field-bits"}
+    assert doc["kind"] == "bad-input" and doc["error"].endswith(BUDGET)
 
 
 @pytest.mark.parametrize("text", ["24-28", "4", "-3"])

@@ -14,20 +14,23 @@ digest pins those, as the determinant exponents each instance lifts.
 """
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import random
 import time
 import tracemalloc
+import types
 
 import pytest
 
-from cryslift import lifting, sweep
-from cryslift.certio import certificate_to_json, dumps
+from cryslift import budget, lifting, sweep
+from cryslift.certio import certificate_to_json, dumps, validate_certificate_schema
 from cryslift.fields import FiniteFieldSpec, MultChar, digits, is_prime
 from cryslift.lifting import DetSpec, LocalFieldShape, irr_crys_lift
-from cryslift.sweep import SWEEP_CELLS_MAX, SweepConfig, iter_cells, run_cell, run_sweep
+from cryslift.sweep import SweepConfig, iter_cells, run_cell, run_sweep
 from cryslift.units import UnitExpr
+from cryslift.verify import verify_certificate
 
 # (p, f, e, d): d = 1, odd d, even d, and f > 1 for each
 PIN_SHAPES = [(2, 1, 1, 1), (3, 2, 2, 1), (5, 1, 3, 1), (2, 1, 2, 3), (3, 2, 1, 3),
@@ -134,6 +137,36 @@ def test_negative_a_bound_refused():
     draws would never end in it."""
     with pytest.raises(ValueError, match="a_bound must be >= 0"):
         SweepConfig(a_bound=-1)
+
+
+def test_a_bound_past_wire_format_refused(monkeypatch):
+    """A drawn exponent -a_bound must fit the wire format's 4000
+    characters: 10^3999 - 1 is admitted, and every certificate of its cell
+    passes the schema check, while 10^3999 is refused with the config."""
+    with pytest.raises(ValueError, match=r"a_bound must be below 10\^3999"):
+        SweepConfig(a_bound=10 ** 3999)
+    documents = []
+
+    def verify(doc):
+        validate_certificate_schema(doc)
+        documents.append(doc)
+        return verify_certificate(doc)
+
+    monkeypatch.setattr(sweep, "verify_certificate", verify)
+    rows = run_cell(LocalFieldShape(3, 1, 2, 1, 2), SweepConfig(a_bound=10 ** 3999 - 1))
+    assert len(rows) == len(documents) == 2 and all(r["pass"] for r in rows)
+    assert max(len(a) for doc in documents for a in doc["psi"]["a"]) == 4000
+
+
+@pytest.mark.parametrize("N", [86, 1000, 2 ** 40, 2 ** 63 - 1])
+def test_sample_past_maxsize_draws_as_random_sample(monkeypatch, N):
+    """The draws that _sample makes past sys.maxsize, where range(N) has no
+    len(), are random.sample's above its set-size threshold (85 for 16
+    draws): forced onto that path, it matches sample draw for draw."""
+    monkeypatch.setattr(sweep, "sys", types.SimpleNamespace(maxsize=0))
+    rng, expected = random.Random(N), random.Random(N)
+    assert sweep._sample(rng, N, 16) == sorted(expected.sample(range(N), 16))
+    assert rng.getstate() == expected.getstate()
 
 
 @pytest.fixture
@@ -245,33 +278,37 @@ def test_iter_cells_stops_at_cap():
 
 
 def test_iter_cells_refuses_grid_above_cap():
-    # p = 2, f = d = 1 is the one (p, f, d) under a cap of 2^1
-    one_fd = dict(p_values=(2,), f_max=1, d_max=1, max_field_bits=1)
-    cells = iter_cells(SweepConfig(e_max=SWEEP_CELLS_MAX // 2, t_with_p=True, **one_fd))
-    assert len(cells) == SWEEP_CELLS_MAX
-    for config in (dict(e_max=SWEEP_CELLS_MAX // 2 + 1, t_with_p=True),
-                   dict(e_max=10 ** 12)):
-        with pytest.raises(ValueError, match=f"more than {SWEEP_CELLS_MAX} cells"):
-            iter_cells(SweepConfig(**config, **one_fd))
+    """At p = 2, f = d = 1 and both t, the grid's time is mostly its
+    e*(e+1) weights: e_max = 6,000 (12,000 cells, 3.6e7 weights, about 48 s
+    predicted) is built, while e_max = 8,000 (about 85 s) and 10^12 are
+    refused before any cell is built."""
+    one_fd = dict(p_values=(2,), f_max=1, d_max=1, max_field_bits=1, t_with_p=True)
+    assert len(iter_cells(SweepConfig(e_max=6000, **one_fd))) == 12000
+    for e_max in (8000, 10 ** 12):
+        with pytest.raises(ValueError, match="past the work budget"):
+            iter_cells(SweepConfig(e_max=e_max, **one_fd))
 
 
-@pytest.mark.parametrize("cap,what", [("SWEEP_CELLS_MAX", "cells"),
-                                      ("SWEEP_INSTANCES_MAX", "instances"),
-                                      ("SWEEP_WEIGHTS_MAX", "weights")])
-def test_iter_cells_counts_grid_exactly(monkeypatch, cap, what):
-    """The counts that iter_cells bounds before building any cell are the
-    built grid's: a cap at the count admits it, one below refuses it."""
+def test_iter_cells_counts_grid_exactly(monkeypatch):
+    """The units that iter_cells holds to the budget before building any
+    cell are the built grid's: every cell, instance, weight and kept row
+    is work, and each cell, the largest cell's sample, the widest
+    instance's weights and the kept rows are held."""
+    counted = []
+    monkeypatch.setattr(budget, "require", lambda work, held: counted.append((work, held)))
     config = SweepConfig(p_values=(2, 3), f_max=3, e_max=3, d_max=3, t_with_p=True,
                          thetas_per_cell=5, max_field_bits=6)
     cells = iter_cells(config)
     thetas = [min(c.p ** (c.f * c.d) - 1, 5) for c in cells]
-    count = {"cells": len(cells), "instances": sum(thetas),
-             "weights": sum(n * c.size_E for n, c in zip(thetas, cells))}[what]
-    monkeypatch.setattr(sweep, cap, count)
-    assert iter_cells(config) == cells
-    monkeypatch.setattr(sweep, cap, count - 1)
-    with pytest.raises(ValueError, match=f"more than {count - 1} {what}"):
-        iter_cells(config)
+    weights = sum(n * c.size_E for n, c in zip(thetas, cells))
+    for record, rows in (("all", sum(thetas)), ("failures", 0)):
+        counted.clear()
+        assert iter_cells(dataclasses.replace(config, record=record)) == cells
+        assert counted[-1] == (
+            {"cells": len(cells), "sweep instances": sum(thetas), "lift weights": weights,
+             "report rows": rows},
+            {"cells": len(cells), "sweep instances": max(thetas),
+             "lift weights": max(c.size_E for c in cells), "report rows": rows})
 
 
 def test_iter_cells_visits_each_prime_once():
