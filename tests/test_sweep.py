@@ -289,7 +289,32 @@ def test_iter_cells_refuses_grid_above_cap():
             iter_cells(SweepConfig(e_max=e_max, **one_fd))
 
 
-def test_iter_cells_counts_grid_exactly(monkeypatch):
+@pytest.mark.parametrize("cap,what", [("SWEEP_CELLS_MAX", "cells"),
+                                      ("SWEEP_INSTANCES_MAX", "instances"),
+                                      ("SWEEP_WEIGHTS_MAX", "weights")])
+def test_iter_cells_counts_grid_exactly(monkeypatch, cap, what):
+    """The counts that iter_cells bounds before building any cell are the
+    built grid's: with one second per unit of one kind (the kind that the
+    count cap `cap` bounded before the work budget replaced the caps) and
+    nothing for the rest, a time budget of the count admits the grid, one
+    second less refuses it."""
+    config = SweepConfig(p_values=(2, 3), f_max=3, e_max=3, d_max=3, t_with_p=True,
+                         thetas_per_cell=5, max_field_bits=6)
+    cells = iter_cells(config)
+    thetas = [min(c.p ** (c.f * c.d) - 1, 5) for c in cells]
+    count = {"cells": len(cells), "instances": sum(thetas),
+             "weights": sum(n * c.size_E for n, c in zip(thetas, cells))}[what]
+    unit = {"cells": "cells", "instances": "sweep instances", "weights": "lift weights"}[what]
+    monkeypatch.setattr(budget, "COSTS", {u: ((10 ** 9 if u == unit else 0), 0)
+                                          for u in budget.COSTS})
+    monkeypatch.setattr(budget, "TIME_BUDGET_S", count)
+    assert iter_cells(config) == cells
+    monkeypatch.setattr(budget, "TIME_BUDGET_S", count - 1)
+    with pytest.raises(ValueError, match=f"predict {count} s .* work budget of {count - 1} s"):
+        iter_cells(config)
+
+
+def test_iter_cells_requires_grid_units_exactly(monkeypatch):
     """The units that iter_cells holds to the budget before building any
     cell are the built grid's: every cell, instance, weight and kept row
     is work, and each cell, the largest cell's sample, the widest
