@@ -54,6 +54,8 @@ def check_int_str_len(values, path: str) -> None:
     """Refuse the first integer whose decimal string would be longer than
     MAX_INT_STR_LEN characters, naming it as path[i], without formatting
     it: str() refuses one past 4300 digits with a text that names nothing."""
+    if not values or _INT_STR_MIN < min(values) and max(values) < _INT_STR_MAX:
+        return
     for i, v in enumerate(values):
         if not _INT_STR_MIN < v < _INT_STR_MAX:
             raise CertificateError(f"{path}[{i}]: more than {MAX_INT_STR_LEN} characters "

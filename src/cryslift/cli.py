@@ -19,11 +19,11 @@ import time
 
 from . import budget, certio, verify
 from .errors import CertificateError, InfeasibleError
-from .fields import RESIDUE_DEGREE_MAX, FiniteFieldSpec, MultChar, digits, is_prime
+from .fields import FiniteFieldSpec, MultChar, digits, is_prime
 from .induction import FrobeniusModel, verify_det_induction
 from .ledger import WeightProfile, twist_shout
 from .lifting import DetSpec, LocalFieldShape, irr_crys_lift
-from .sweep import SweepConfig, run_sweep
+from .sweep import FIELD_BITS_MAX, SweepConfig, run_sweep
 from .transport import regular_transport, transport, verify_assignment
 from .units import UnitExpr
 
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--max-field-bits", type=int, default=10,
                    help="run the cells with p^(f*d) <= 2^max-field-bits; at most "
-                   f"{RESIDUE_DEGREE_MAX}")
+                   f"{FIELD_BITS_MAX}")
     s.add_argument("--record", choices=["all", "failures"], default="all")
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_sweep)

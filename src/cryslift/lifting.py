@@ -102,10 +102,6 @@ class LocalFieldShape:
         return self.e * self.f
 
     @cached_property
-    def size_E0(self) -> int:
-        return self.f * self.d
-
-    @cached_property
     def size_E(self) -> int:
         return self.e * self.f * self.d
 

@@ -30,9 +30,9 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 from . import budget
-from .certio import MAX_INT_STR_LEN, REPORT_SCHEMA_ID, certificate_to_json
-from .errors import InfeasibleError
-from .fields import RESIDUE_DEGREE_MAX, FiniteFieldSpec, MultChar, digits, is_prime
+from .certio import MAX_INT_STR_LEN, REPORT_SCHEMA_ID, certificate_to_json, check_int_str_len
+from .errors import CertificateError, InfeasibleError
+from .fields import FiniteFieldSpec, MultChar, digits, is_prime
 from .lifting import DetSpec, LocalFieldShape, _lift
 from .units import UnitExpr
 from .verify import verify_certificate
@@ -50,6 +50,9 @@ PSI_UNIFORMIZER = UnitExpr.symbol("psi(varpi_F)")
 # An exhaustive cell takes its thetas from its field's table only up to
 # THETA_TABLE_MAX exponents, at about 525 B each: 2 MB at most.
 THETA_TABLE_MAX = 2 ** 12
+
+# theta_bar < 2^bits and t <= p*(q-1) < 2^(bits+64) fit the wire format up to these bits
+FIELD_BITS_MAX = (10 ** MAX_INT_STR_LEN).bit_length() - 1 - 64
 
 
 @dataclass(frozen=True)
@@ -70,9 +73,10 @@ class SweepConfig:
         for name in ("f_max", "e_max", "d_max", "jobs", "max_field_bits"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        # p >= 2 makes p^(f*d) <= 2^bits force f*d <= bits: every cell's degree cap
-        if self.max_field_bits > RESIDUE_DEGREE_MAX:
-            raise ValueError(f"max_field_bits must be at most {RESIDUE_DEGREE_MAX}")
+        # p >= 2 makes p^(f*d) <= 2^bits force f*d <= bits, below RESIDUE_DEGREE_MAX too
+        if self.max_field_bits > FIELD_BITS_MAX:
+            raise ValueError(f"max_field_bits must be at most {FIELD_BITS_MAX}, so that a cell's "
+                             f"t and theta_bar fit the wire format's {MAX_INT_STR_LEN} characters")
         if not self.p_values:
             raise ValueError("empty p range")
         if self.thetas_per_cell is not None and self.thetas_per_cell < 1:
@@ -207,8 +211,12 @@ def run_cell(shape: LocalFieldShape, config: SweepConfig) -> list[dict]:
         try:
             # one digit expansion per theta_bar: the lift reuses b_digits
             cert = _lift(theta_bar, b_digits, psi, shape)
+            if shape.d > 1:  # weights outgrow the exponents, at odd d twofold per i0-block
+                check_int_str_len(cert.weights, "weights")
         except InfeasibleError as exc:
             ok, violations = False, [f"infeasible: {exc}"]
+        except CertificateError as exc:
+            ok, violations = False, [str(exc)]
         else:
             ok, violations = verify_certificate(certificate_to_json(cert))
         if keep_passed or not ok:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import io
 import json
 import re
 import shlex
@@ -14,8 +15,10 @@ import pytest
 import cryslift
 from cryslift import cli
 from cryslift.cli import main
-from cryslift.fields import RESIDUE_DEGREE_MAX
-from cryslift.lifting import DetSpec, irr_crys_lift
+from cryslift.certio import certificate_to_json
+from cryslift.fields import RESIDUE_DEGREE_MAX, MultChar
+from cryslift.lifting import DetSpec, LocalFieldShape, irr_crys_lift
+from cryslift.sweep import FIELD_BITS_MAX
 from cryslift.transport import verify_assignment
 from cryslift.units import UnitExpr
 
@@ -24,6 +27,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+SHAPE_ARGV = ["--p", "3", "--f", "1", "--e", "1", "--d", "2", "--t", "2"]
+LIFT_ARGV = ["lift", *SHAPE_ARGV, "--theta-bar", "5", "--a", "3"]
 
 
 def test_digits(capsys):
@@ -124,35 +131,22 @@ def test_regular_5000_rows(capsys):
 
 
 def test_lift_self_check(capsys):
-    code, doc = run_cli(
-        capsys, "lift", "--p", "3", "--f", "1", "--e", "1", "--d", "2",
-        "--t", "2", "--theta-bar", "5", "--a", "3",
-    )
+    code, doc = run_cli(capsys, *LIFT_ARGV)
     assert code == 0
     assert doc["self_check"] == "pass"
     assert doc["weights"] == ["2", "1"]
 
 
 def test_lift_incompatible_exit_3(capsys):
-    code, doc = run_cli(
-        capsys, "lift", "--p", "3", "--f", "1", "--e", "1", "--d", "2",
-        "--t", "2", "--theta-bar", "5", "--a", "4",
-    )
+    code, doc = run_cli(capsys, *LIFT_ARGV[:-1], "4")
     assert code == 3
 
 
 def test_lift_wrong_exponent_count_exit_2(capsys):
     # |Sigma_F| = e*f = 1, so two determinant exponents are one too many
-    code, doc = run_cli(
-        capsys, "lift", "--p", "3", "--f", "1", "--e", "1", "--d", "2",
-        "--t", "2", "--theta-bar", "5", "--a", "3,0",
-    )
+    code, doc = run_cli(capsys, *LIFT_ARGV[:-1], "3,0")
     assert code == 2
     assert doc["kind"] == "bad-input" and "expected |Sigma_F| = 1" in doc["error"]
-
-
-LIFT_ARGV = ["lift", "--p", "3", "--f", "1", "--e", "1", "--d", "2", "--t", "2",
-             "--theta-bar", "5", "--a", "3"]
 
 
 def _patch_lift(monkeypatch, **changes):
@@ -209,15 +203,14 @@ WIDE_LIFT_ARGV = ["lift", "--p", "3", "--f", "1", "--e", "14000", "--d", "3", "-
                   "--theta-bar", "0", "--a", ",".join(["0"] * 14000)]
 
 
-def test_verify_round_trip(capsys, tmp_path):
+def test_verify_round_trip(capsys, monkeypatch):
+    """What lift prints, verify passes: read from stdin, as by the pipe
+    `cryslift lift ... | cryslift verify -`."""
     for argv in (LIFT_ARGV, WIDE_LIFT_ARGV):
         code, doc = run_cli(capsys, *argv)
         assert code == 0 and doc["self_check"] == "pass", argv[:10]
-        path = tmp_path / "cert.json"
-        path.write_text(json.dumps(doc))
-        code, result = run_cli(capsys, "verify", str(path))
-        assert code == 0
-        assert result["pass"]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        assert run_cli(capsys, "verify", "-") == (0, {"pass": True, "violations": []})
 
 
 @pytest.mark.parametrize("checks, code, violations", [
@@ -239,10 +232,7 @@ def test_verify_recorded_checks_may_be_left_out(capsys, tmp_path, checks, code, 
 
 
 def test_verify_mutated_exit_3(capsys, tmp_path):
-    code, doc = run_cli(
-        capsys, "lift", "--p", "3", "--f", "1", "--e", "1", "--d", "2",
-        "--t", "2", "--theta-bar", "5", "--a", "3",
-    )
+    _, doc = run_cli(capsys, *LIFT_ARGV)
     doc["weights"][0] = "3"
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(doc))
@@ -259,15 +249,6 @@ def test_verify_schema_violation_exit_2(capsys, tmp_path):
     assert result["kind"] == "bad-input"
 
 
-def _lift_doc(capsys):
-    code, doc = run_cli(
-        capsys, "lift", "--p", "3", "--f", "1", "--e", "1", "--d", "2",
-        "--t", "2", "--theta-bar", "5", "--a", "3",
-    )
-    assert code == 0
-    return doc
-
-
 @pytest.mark.parametrize("path,value,where", [
     # would reach Fraction(num, 0) in the verifier
     (("psi", "uniformizer", "factors", 0, 2), "0", "psi.uniformizer.factors[0][2]"),
@@ -275,7 +256,7 @@ def _lift_doc(capsys):
     (("weights", 0), "9" * 5000, "weights[0]"),
 ], ids=["zero-denominator", "5000-digits"])
 def test_verify_out_of_schema_integers_exit_2(capsys, tmp_path, path, value, where):
-    doc = _lift_doc(capsys)
+    _, doc = run_cli(capsys, *LIFT_ARGV)
     node = doc
     for key in path[:-1]:
         node = node[key]
@@ -298,20 +279,12 @@ def test_induction(capsys):
 BUDGET = "past the work budget of 60 s and 256 MB"
 
 
-@pytest.mark.parametrize("q, d, prediction", [
-    (2, 40, "1.1e+12 oracle group elements predict 1.319e+05 s and 4.398e+07 MB"),
-    # 335 MB of arrays for one b
-    (2, 23, "8.389e+06 oracle group elements predict 1.007 s and 335.5 MB"),
-    # q^d is not computed past 2^1000
-    (3, 10 ** 9, "over 1e300 oracle group elements predict 1.286e+294 s and 4.286e+296 MB"),
-], ids=["2-40", "2-23", "3-1000000000"])
-def test_induction_above_m_limit_exit_2(capsys, q, d, prediction):
-    """One b of an M whose walk is past the memory budget is refused."""
-    started = time.perf_counter()
-    code, doc = run_cli(capsys, "induction", "--q", str(q), "--d", str(d), "--b", "1")
-    assert time.perf_counter() - started < 1.0
-    assert code == 2
-    assert doc == {"kind": "bad-input", "error": f"{prediction}, {BUDGET}"}
+def _bad_input(error: str) -> dict:
+    return {"kind": "bad-input", "error": error}
+
+
+def _past_budget(prediction: str) -> dict:
+    return _bad_input(f"{prediction}, {BUDGET}")
 
 
 def test_induction_largest_acceptance_m(capsys):
@@ -341,7 +314,7 @@ def test_induction_above_work_cap_exit_2(capsys, monkeypatch, argv, prediction):
     code, doc = run_cli(capsys, "induction", "--q", "2", "--d", "22", *argv)
     assert time.perf_counter() - started < 1.0
     assert code == 2
-    assert doc == {"kind": "bad-input", "error": f"{prediction}, {BUDGET}"}
+    assert doc == _past_budget(prediction)
 
 
 def test_induction_acceptance_cell_within_work_cap(capsys, monkeypatch):
@@ -361,19 +334,13 @@ def test_induction_acceptance_cell_within_work_cap(capsys, monkeypatch):
 
 
 def test_twist(capsys):
-    code, doc = run_cli(
-        capsys, "twist", "--p", "3", "--f", "1", "--e", "1", "--d", "2",
-        "--t", "2", "--rho", "[[5,1]]", "--rho-x", "[[1,-3]]",
-    )
+    code, doc = run_cli(capsys, "twist", *SHAPE_ARGV, "--rho", "[[5,1]]", "--rho-x", "[[1,-3]]")
     assert code == 0
     assert doc["k"] == ["4"]
 
 
 def test_twist_incongruent_exit_3(capsys):
-    code, doc = run_cli(
-        capsys, "twist", "--p", "3", "--f", "1", "--e", "1", "--d", "2",
-        "--t", "2", "--rho", "[[5,1]]", "--rho-x", "[[4,0]]",
-    )
+    code, doc = run_cli(capsys, "twist", *SHAPE_ARGV, "--rho", "[[5,1]]", "--rho-x", "[[4,0]]")
     assert code == 3
 
 
@@ -382,10 +349,7 @@ def test_twist_incongruent_exit_3(capsys):
     ("[[5,1]]", "[[1,-3],[1,-3]]"),
 ])
 def test_twist_profiles_off_sigma_F_exit_2(capsys, rho, rho_x):
-    code, doc = run_cli(
-        capsys, "twist", "--p", "3", "--f", "1", "--e", "1", "--d", "2",
-        "--t", "2", "--rho", rho, "--rho-x", rho_x,
-    )
+    code, doc = run_cli(capsys, "twist", *SHAPE_ARGV, "--rho", rho, "--rho-x", rho_x)
     assert code == 2
     assert doc["kind"] == "bad-input" and "|Sigma_F| = e*f = 1" in doc["error"]
 
@@ -483,127 +447,162 @@ def test_residue_degree_above_cap_exit_2(capsys, argv):
     assert doc["error"].endswith(f"must be at most {RESIDUE_DEGREE_MAX}")
 
 
+FIELD_BITS_REFUSED = _bad_input(
+    f"max_field_bits must be at most {FIELD_BITS_MAX}, so that a cell's t and theta_bar fit "
+    "the wire format's 4000 characters")
+
+
 def test_sweep_max_field_bits_above_cap_exit_2(capsys):
-    """p >= 2 makes p^(f*d) <= 2^bits force f*d <= bits: one step above the
-    residue degree cap is refused before 2 is raised to it."""
+    """One step above the wire format's field cap is refused before 2 is
+    raised to it."""
     started = time.perf_counter()
-    code, doc = run_cli(capsys, "sweep", "--max-field-bits", str(RESIDUE_DEGREE_MAX + 1))
+    code, doc = run_cli(capsys, "sweep", "--max-field-bits", str(FIELD_BITS_MAX + 1))
     assert time.perf_counter() - started < 1.0
-    assert code == 2
-    assert doc == {"kind": "bad-input",
-                   "error": f"max_field_bits must be at most {RESIDUE_DEGREE_MAX}"}
+    assert (code, doc) == (2, FIELD_BITS_REFUSED)
 
 
-def _run_limited(code: str, *argv: str) -> subprocess.CompletedProcess:
+def _run_limited(code: str, *argv: str, stdin: str | None = None) -> subprocess.CompletedProcess:
     """Run code in a child process with 1 GB of address space and cryslift
-    on its path; it must end within a second."""
+    on its path, fed stdin; it must end within a second.  Tier-1 runs the
+    CLI contract this way, so CI runs the installed entry point only to
+    show that it resolves."""
     code = ("import resource, sys; sys.path.insert(0, sys.argv[1]); "
             "resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9)); " + code)
     src = str(Path(cryslift.__file__).resolve().parent.parent)
     started = time.perf_counter()
     out = subprocess.run([sys.executable, "-c", code, src, *argv],
-                         capture_output=True, text=True, timeout=10)
+                         input=stdin, capture_output=True, text=True, timeout=10)
     assert time.perf_counter() - started < 1.0
     return out
 
 
-def _run_cli_limited(*argv: str) -> subprocess.CompletedProcess:
-    return _run_limited("from cryslift.cli import main; sys.exit(main(sys.argv[2:]))", *argv)
+def _run_cli_limited(*argv: str, stdin: str | None = None) -> subprocess.CompletedProcess:
+    return _run_limited("from cryslift.cli import main; sys.exit(main(sys.argv[2:]))", *argv,
+                        stdin=stdin)
 
 
-def test_sweep_e_max_above_cell_cap_exit_2(capsys):
-    """e_max has no bound of its own: a grid of 10^8 cells is refused (2)
-    by its prediction, before any cell is built."""
-    code, doc = run_cli(capsys, "sweep", "--p-values", "2", "--f-max", "1",
-                        "--e-max", "100000000", "--d-max", "1", "--thetas-per-cell", "1")
-    assert code == 2
-    assert doc == {"kind": "bad-input", "error": (
-        "1e+08 cells, 1e+08 sweep instances, 5e+15 lift weights, 1e+08 report rows "
-        f"predict 6.5e+09 s and 2.45e+05 MB, {BUDGET}")}
+def _square_problem(command: str, n: int, *more: str) -> str:
+    """An n x n problem: n row sums of 1, and n column sums that add to n."""
+    return " ".join([command, "--a", ",".join(["1"] * n),
+                     "--b", ",".join(["0"] * (n - 1) + [str(n)]), *more])
 
 
-@pytest.mark.parametrize("argv,prediction", [
+def _lift_cert(change) -> str:
+    """The certificate of LIFT_ARGV, as JSON after change(doc)."""
+    shape = LocalFieldShape(3, 1, 1, 2, 2)
+    psi = DetSpec((3,), UnitExpr.symbol("psi(varpi_F)"))
+    doc = certificate_to_json(irr_crys_lift(MultChar(shape.residue_field_E, 5), psi, shape))
+    change(doc)
+    return json.dumps(doc)
+
+
+def _row(name: str, argv: str, code: int, doc: dict, stdin: str | None = None):
+    """A row of CLI_CONTRACT: argv, fed stdin, exits with code and prints doc."""
+    return pytest.param(argv.split(), stdin, code, doc, id=name)
+
+
+DEGREE_REFUSED = _bad_input("the degree 65537 of the field over F_3 must be at most 65536")
+
+# The CLI's contract, pinned once: each refusal's argv (and stdin), exit
+# code and whole stdout document.  The test keeps the name of its first
+# fourteen rows, the work refusals.
+CLI_CONTRACT = [
+    # each of these three exited 1 with a MemoryError traceback when nothing
+    # bounded its work
+    _row("lift", "lift --p 2 --f 1 --e 2000 --d 65536 --t 1 --theta-bar 0 --a "
+         + ",".join(["0"] * 2000),
+         2, _past_budget("1.311e+08 lift weights predict 170.4 s and 3.539e+04 MB")),
+    _row("transport", _square_problem("transport", 5000),
+         2, _past_budget("2.5e+07 matrix entries predict 45 s and 9750 MB")),
+    _row("regular", _square_problem("regular", 20000, "--m", "3"),
+         2, _past_budget("4e+08 matrix entries predict 720 s and 1.56e+05 MB")),
+    # e_max has no bound of its own: 10^8 cells are refused by their prediction
+    _row("sweep-cells",
+         "sweep --p-values 2 --f-max 1 --e-max 100000000 --d-max 1 --thetas-per-cell 1",
+         2, _past_budget("1e+08 cells, 1e+08 sweep instances, 5e+15 lift weights, 1e+08 "
+                         "report rows predict 6.5e+09 s and 2.45e+05 MB")),
     # 65,536 cells of one instance each, but sum(e) = 2^31 weights
-    (["--p-values", "2", "--e-max", "65536", "--thetas-per-cell", "1"],
-     "6.554e+04 cells, 6.554e+04 sweep instances, 2.148e+09 lift weights, 6.554e+04 report "
-     "rows predict 2799 s and 160.6 MB"),
+    _row("sweep-weights",
+         "sweep --p-values 2 --f-max 1 --d-max 1 --e-max 65536 --thetas-per-cell 1",
+         2, _past_budget("6.554e+04 cells, 6.554e+04 sweep instances, 2.148e+09 lift weights, "
+                         "6.554e+04 report rows predict 2799 s and 160.6 MB")),
     # 393 cells of one weight per instance, but 26M instances: the rows of
     # the first six cells under --record all are past the memory budget
-    (["--p-values", "65537-70000", "--max-field-bits", "17", "--e-max", "1",
-      "--thetas-per-cell", "all"],
-     "6 cells, 3.933e+05 sweep instances, 3.933e+05 lift weights, 3.933e+05 report rows "
-     "predict 18.21 s and 284.5 MB"),
-], ids=["weights", "instances"])
-def test_sweep_work_above_cap_exit_2(capsys, argv, prediction):
-    """A grid of few cells whose instances or weights are past the budget
-    is refused (2) before any cell is built."""
-    code, doc = run_cli(capsys, "sweep", "--f-max", "1", "--d-max", "1", *argv)
-    assert code == 2
-    assert doc == {"kind": "bad-input", "error": f"{prediction}, {BUDGET}"}
+    _row("sweep-instances", "sweep --p-values 65537-70000 --max-field-bits 17 --f-max 1 "
+         "--e-max 1 --d-max 1 --thetas-per-cell all",
+         2, _past_budget("6 cells, 3.933e+05 sweep instances, 3.933e+05 lift weights, "
+                         "3.933e+05 report rows predict 18.21 s and 284.5 MB")),
+    _row("p-range", "sweep --p-values 2-100000000000 --max-field-bits 40",
+         2, _past_budget("1e+11 integers tested for primality predict 3.8e+05 s and 0 MB")),
+    _row("p-ranges-grid", "sweep --p-values 2-40000,50000-90000 --max-field-bits 40",
+         2, _past_budget("2.069e+04 cells, 3.308e+05 sweep instances, 9.328e+05 lift weights, "
+                         "3.308e+05 report rows predict 17.34 s and 256 MB")),
+    # one b of an M whose walk is past the memory budget
+    _row("induction-M-2^40", "induction --q 2 --d 40 --b 1",
+         2, _past_budget("1.1e+12 oracle group elements predict 1.319e+05 s and 4.398e+07 MB")),
+    # 335 MB of arrays for one b
+    _row("induction-M-2^23", "induction --q 2 --d 23 --b 1",
+         2, _past_budget("8.389e+06 oracle group elements predict 1.007 s and 335.5 MB")),
+    # q^d is not computed past 2^1000
+    _row("induction-d-10^9", f"induction --q 3 --d {10 ** 9} --b 1",
+         2, _past_budget("over 1e300 oracle group elements predict 1.286e+294 s and "
+                         "4.286e+296 MB")),
+    _row("induction-samples-default", "induction --q 2 --d 22",
+         2, _past_budget("2.147e+09 oracle group elements predict 257.7 s and 167.8 MB")),
+    _row("induction-samples", "induction --q 2 --d 22 --samples 4194303",
+         2, _past_budget("1.759e+13 oracle group elements predict 2.111e+06 s and 167.8 MB")),
+    _row("induction-full-b-cap", "induction --q 2 --d 22 --full-b-cap 5000000",
+         2, _past_budget("1.759e+13 oracle group elements predict 2.111e+06 s and 167.8 MB")),
+    # a residue degree past the cap is refused before p is raised to it
+    _row("digits-degree-65537", "digits --p 3 --f 65537 --b 5", 2, DEGREE_REFUSED),
+    _row("lift-degree-65537", "lift --p 3 --f 1 --e 1 --d 65537 --t 2 --theta-bar 0 --a 0",
+         2, DEGREE_REFUSED),
+    _row("sweep-field-bits-65537", "sweep --max-field-bits 65537", 2, FIELD_BITS_REFUSED),
+    # below the residue degree cap, but p^235 has 4,300 digits: this exited 2
+    # with str()'s text only after earlier cells ran
+    _row("sweep-field-bits-14400", "sweep --p-values 2305843009213693951 --f-max 1 --e-max 1 "
+         "--d-max 235 --thetas-per-cell 1 --max-field-bits 14400", 2, FIELD_BITS_REFUSED),
+    # the verifier compares e*f*d with the weights' count before any power of p
+    _row("verify-degree-10^12", "verify -", 3, {"pass": False, "violations": [
+        "2 weights, expected e*f*d with e=1, f=1, d=1000000000000"]},
+        stdin=_lift_cert(lambda doc: doc["shape"].update(d="1000000000000"))),
+    _row("verify-no-checks", "verify -", 2, _bad_input(
+        "certificate schema violation at top level: missing required key 'checks'"),
+        stdin=_lift_cert(lambda doc: doc.pop("checks"))),
+]
 
 
-def _square_problem(command: str, n: int, *more: str) -> list[str]:
-    """An n x n problem: n row sums of 1, and n column sums that add to n."""
-    return [command, "--a", ",".join(["1"] * n), "--b", ",".join(["0"] * (n - 1) + [str(n)]),
-            *more]
+@pytest.mark.parametrize("argv, stdin, code, doc", CLI_CONTRACT)
+def test_work_past_budget_exit_2(argv, stdin, code, doc):
+    """Every refusal of CLI_CONTRACT, run as the console script would be,
+    in a child process with 1 GB of address space: its exit code and
+    document on stdout, nothing on stderr, within a second."""
+    out = _run_cli_limited(*argv, stdin=stdin)
+    assert (out.returncode, json.loads(out.stdout), out.stderr) == (code, doc, "")
 
 
-@pytest.mark.parametrize("argv", [
-    # 1.3e8 weights; each of these three exited 1 with a MemoryError traceback
-    # when nothing bounded its work
-    ["lift", "--p", "2", "--f", "1", "--e", "2000", "--d", "65536", "--t", "1",
-     "--theta-bar", "0", "--a", ",".join(["0"] * 2000)],
-    _square_problem("transport", 5000),
-    _square_problem("regular", 20000, "--m", "3"),
-    ["sweep", "--p-values", "2", "--f-max", "1", "--e-max", "100000000", "--d-max", "1",
-     "--thetas-per-cell", "1"],
-    ["sweep", "--p-values", "2", "--f-max", "1", "--d-max", "1", "--e-max", "65536",
-     "--thetas-per-cell", "1"],
-    ["sweep", "--p-values", "65537-70000", "--max-field-bits", "17", "--f-max", "1",
-     "--e-max", "1", "--d-max", "1", "--thetas-per-cell", "all"],
-    ["sweep", "--p-values", "2-100000000000", "--max-field-bits", "40"],
-    ["sweep", "--p-values", "2-40000,50000-90000", "--max-field-bits", "40"],
-    ["induction", "--q", "2", "--d", "40", "--b", "1"],
-    ["induction", "--q", "2", "--d", "23", "--b", "1"],
-    ["induction", "--q", "3", "--d", str(10 ** 9), "--b", "1"],
-    ["induction", "--q", "2", "--d", "22"],
-    ["induction", "--q", "2", "--d", "22", "--samples", "4194303"],
-    ["induction", "--q", "2", "--d", "22", "--full-b-cap", "5000000"],
-], ids=["lift", "transport", "regular", "sweep-cells", "sweep-weights", "sweep-instances",
-        "p-range", "p-ranges-grid", "induction-M-2^40", "induction-M-2^23",
-        "induction-d-10^9", "induction-samples-default", "induction-samples",
-        "induction-full-b-cap"])
-def test_work_past_budget_exit_2(argv):
-    """Every work refusal, run as the console script would be, in a child
-    process with 1 GB of address space: one bad-input document naming the
-    budget on stdout, nothing on stderr, exit 2 within a second."""
-    out = _run_cli_limited(*argv)
-    assert (out.returncode, out.stderr) == (2, "")
-    doc = json.loads(out.stdout)
-    assert doc["kind"] == "bad-input" and doc["error"].endswith(BUDGET), doc
-
-
-@pytest.mark.parametrize("expr", [
-    "FiniteFieldSpec(3, 10 ** 8)",
-    "LocalFieldShape(3, 1, 1, 10 ** 8, 2).residue_field_E",
-    "run_sweep(SweepConfig(max_field_bits=10 ** 10, p_values=(2,), f_max=1, e_max=1, "
-    "d_max=1, thetas_per_cell=1))",
+@pytest.mark.parametrize("expr, cap", [
+    ("FiniteFieldSpec(3, 10 ** 8)", RESIDUE_DEGREE_MAX),
+    ("LocalFieldShape(3, 1, 1, 10 ** 8, 2).residue_field_E", RESIDUE_DEGREE_MAX),
+    ("run_sweep(SweepConfig(max_field_bits=10 ** 10, p_values=(2,), f_max=1, e_max=1, "
+     "d_max=1, thetas_per_cell=1))", FIELD_BITS_MAX),
 ], ids=["field", "shape-E", "sweep"])
-def test_library_refuses_degree_above_cap(expr):
-    """The library's own types refuse a degree above RESIDUE_DEGREE_MAX
-    before p is raised to it, without the CLI."""
+def test_library_refuses_degree_above_cap(expr, cap):
+    """The library's own types refuse a degree above RESIDUE_DEGREE_MAX, and
+    a sweep a field above FIELD_BITS_MAX bits, before p is raised to it,
+    without the CLI."""
     out = _run_limited(
         "from cryslift.fields import FiniteFieldSpec; "
         "from cryslift.lifting import LocalFieldShape; "
         "from cryslift.sweep import SweepConfig, run_sweep\n"
         f"try:\n    {expr}\nexcept ValueError as exc:\n    print(exc); sys.exit(2)")
     assert out.returncode == 2, out.stderr
-    assert out.stdout.strip().endswith(f"must be at most {RESIDUE_DEGREE_MAX}")
+    assert f"must be at most {cap}" in out.stdout
 
 
 def test_sweep_max_field_bits_at_cap_runs(capsys, tmp_path):
     out = tmp_path / "r.json"
-    assert main(["sweep", "--max-field-bits", str(RESIDUE_DEGREE_MAX), "--p-values", "2",
+    assert main(["sweep", "--max-field-bits", str(FIELD_BITS_MAX), "--p-values", "2",
                  "--f-max", "1", "--e-max", "1", "--d-max", "1", "--thetas-per-cell", "1",
                  "--out", str(out)]) == 0
     capsys.readouterr()
@@ -710,15 +709,6 @@ def test_sweep_prime_range_stops_at_field_cap(capsys, tmp_path):
     assert json.loads(out.read_text())["config"]["p_values"] == [2, 3, 5, 7, 11, 13]
 
 
-@pytest.mark.parametrize("text", ["2-100000000000", "2-40000,50000-90000"])
-def test_sweep_prime_ranges_past_limit_exit_2(capsys, text):
-    started = time.perf_counter()
-    code, doc = run_cli(capsys, "sweep", "--p-values", text, "--max-field-bits", "40")
-    assert time.perf_counter() - started < 1.0
-    assert code == 2
-    assert doc["kind"] == "bad-input" and doc["error"].endswith(BUDGET)
-
-
 @pytest.mark.parametrize("text", ["24-28", "4", "-3"])
 def test_sweep_range_without_primes_exit_2(capsys, text):
     code, _ = run_cli(capsys, "sweep", "--p-values", text)
@@ -735,8 +725,7 @@ def test_sweep_field_bits_below_1_with_range_exit_2(capsys, bits):
 @pytest.mark.parametrize("count,expected", [(16, 0), (17, 2)])
 def test_verify_bounds_unit_factors(capsys, tmp_path, count, expected):
     cert = tmp_path / "cert.json"
-    _, doc = run_cli(capsys, "lift", "--p", "3", "--f", "1", "--e", "1", "--d", "2",
-                        "--t", "2", "--theta-bar", "5", "--a", "3")
+    _, doc = run_cli(capsys, *LIFT_ARGV)
     # psi(varpi_F) = prod of count factors x^(1/count); theta's value is its negation
     factors = [["psi(varpi_F)", "1", str(count)]] * count
     doc["psi"]["uniformizer"]["factors"] = copy.deepcopy(factors)
@@ -759,10 +748,7 @@ def test_verify_deeply_nested_json_exit_2(capsys, tmp_path):
 
 
 def test_twist_deeply_nested_json_exit_2(capsys):
-    code, doc = run_cli(
-        capsys, "twist", "--p", "3", "--f", "1", "--e", "1", "--d", "2",
-        "--t", "2", "--rho", "[" * 20_000, "--rho-x", "[[1,-3]]",
-    )
+    code, doc = run_cli(capsys, "twist", *SHAPE_ARGV, "--rho", "[" * 20_000, "--rho-x", "[[1,-3]]")
     assert code == 2
     assert doc["kind"] == "bad-input" and "nested" in doc["error"]
 
@@ -772,10 +758,7 @@ def test_twist_deeply_nested_json_exit_2(capsys):
     '{"a":1}', "[]",
 ])
 def test_twist_profile_not_integer_lists_exit_2(capsys, rho):
-    code, doc = run_cli(
-        capsys, "twist", "--p", "3", "--f", "1", "--e", "1", "--d", "2",
-        "--t", "2", "--rho", rho, "--rho-x", "[[1,-3]]",
-    )
+    code, doc = run_cli(capsys, "twist", *SHAPE_ARGV, "--rho", rho, "--rho-x", "[[1,-3]]")
     assert code == 2
     assert doc["kind"] == "bad-input"
 

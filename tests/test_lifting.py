@@ -41,12 +41,12 @@ def e0_fibres(shape, k):
 class TestLayout:
     def test_counting_small(self):
         shape = make_shape(3, 1, 1, 2)
-        assert (shape.size_F, shape.size_E0, shape.size_E) == (1, 2, 2)
+        assert (shape.size_F, shape.f * shape.d, shape.size_E) == (1, 2, 2)
 
     def test_counting_ramified(self):
         shape = make_shape(2, 2, 3, 2)
-        assert (shape.size_F, shape.size_E0, shape.size_E) == (6, 4, 12)
-        a, b, k = range(shape.size_F), range(shape.size_E0), range(shape.size_E)
+        assert (shape.size_F, shape.f * shape.d, shape.size_E) == (6, 4, 12)
+        a, b, k = range(shape.size_F), range(shape.f * shape.d), range(shape.size_E)
         assert all(len(a[shape.F_blocks[i0]]) == 3 for i0 in range(shape.f))
         assert all(len(b[shape.J_blocks[i0]]) == 2 for i0 in range(shape.f))
         assert all(len(k[shape.E_blocks[i0]]) == 6 for i0 in range(shape.f))
@@ -69,7 +69,7 @@ class TestLayout:
     def test_order_depends_on_f_e_d_only(self):
         # every slice of the order is the same for any p and t
         x, y = make_shape(3, 2, 2, 3), make_shape(5, 2, 2, 3, 48)
-        assert (x.size_F, x.size_E0, x.size_E) == (y.size_F, y.size_E0, y.size_E)
+        assert (x.size_F, x.f * x.d, x.size_E) == (y.size_F, y.f * y.d, y.size_E)
         assert (x.F_blocks, x.J_blocks, x.E_blocks) == (y.F_blocks, y.J_blocks, y.E_blocks)
         idx = tuple(range(x.size_E))
         assert x.F_fibres(idx) == y.F_fibres(idx)
@@ -87,15 +87,15 @@ class TestLayout:
             for s in range(shape.size_F)
         ]
         columns = e0_fibres(shape, k)
-        assert sorted(columns) == list(range(shape.size_E0))
-        for j0 in range(shape.size_E0):
+        assert sorted(columns) == list(range(shape.f * shape.d))
+        for j0 in range(shape.f * shape.d):
             scan = [k[t] for t, (_, j) in enumerate(pairs) if j == j0]
             assert list(columns[j0]) == scan
         for i0 in range(f):
             assert list(range(shape.size_F)[shape.F_blocks[i0]]) == [
                 s for s in range(shape.size_F) if s // e == i0]
-            assert list(range(shape.size_E0)[shape.J_blocks[i0]]) == [
-                j for j in range(shape.size_E0) if j % f == i0]
+            assert list(range(shape.f * shape.d)[shape.J_blocks[i0]]) == [
+                j for j in range(shape.f * shape.d) if j % f == i0]
             assert list(k[shape.E_blocks[i0]]) == [
                 k[t] for t, (sig, _) in enumerate(pairs) if sig // e == i0]
 
@@ -182,7 +182,7 @@ def check_lift_conditions(k, theta_bar, a, shape):
     assert len(set(k)) == shape.size_E
     # (2): digit congruences over Sigma_E0 fibres
     b = digits(theta_bar).digits
-    for j0 in range(shape.size_E0):
+    for j0 in range(shape.f * shape.d):
         tot = sum(k[t] for t, (_, j) in enumerate(pairs) if j == j0)
         assert (tot - b[j0]) % (p - 1) == 0
     # block separation in canonical sigma_0 order

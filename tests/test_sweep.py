@@ -139,12 +139,9 @@ def test_negative_a_bound_refused():
         SweepConfig(a_bound=-1)
 
 
-def test_a_bound_past_wire_format_refused(monkeypatch):
-    """A drawn exponent -a_bound must fit the wire format's 4000
-    characters: 10^3999 - 1 is admitted, and every certificate of its cell
-    passes the schema check, while 10^3999 is refused with the config."""
-    with pytest.raises(ValueError, match=r"a_bound must be below 10\^3999"):
-        SweepConfig(a_bound=10 ** 3999)
+@pytest.fixture
+def verified_documents(monkeypatch):
+    """The documents that run_cell verifies, each schema-checked first."""
     documents = []
 
     def verify(doc):
@@ -153,9 +150,30 @@ def test_a_bound_past_wire_format_refused(monkeypatch):
         return verify_certificate(doc)
 
     monkeypatch.setattr(sweep, "verify_certificate", verify)
+    return documents
+
+
+def test_a_bound_past_wire_format_refused(verified_documents):
+    """A drawn exponent -a_bound must fit the wire format's 4000
+    characters: 10^3999 - 1 is admitted, and every certificate of its cell
+    passes the schema check, while 10^3999 is refused with the config."""
+    with pytest.raises(ValueError, match=r"a_bound must be below 10\^3999"):
+        SweepConfig(a_bound=10 ** 3999)
     rows = run_cell(LocalFieldShape(3, 1, 2, 1, 2), SweepConfig(a_bound=10 ** 3999 - 1))
-    assert len(rows) == len(documents) == 2 and all(r["pass"] for r in rows)
-    assert max(len(a) for doc in documents for a in doc["psi"]["a"]) == 4000
+    assert len(rows) == len(verified_documents) == 2 and all(r["pass"] for r in rows)
+    assert max(len(a) for doc in verified_documents for a in doc["psi"]["a"]) == 4000
+
+
+def test_weights_past_wire_format_fail_their_rows(verified_documents):
+    """Weights at d > 1 outgrow the drawn exponents: at a_bound = 10^3999 - 1
+    three of four instances of (3, 1, 2, 3) have weights of 4,001 or 4,002
+    characters, and each fails its row, naming the first, unverified."""
+    rows = run_cell(LocalFieldShape(3, 1, 2, 3, 2),
+                    SweepConfig(a_bound=10 ** 3999 - 1, thetas_per_cell=4))
+    past = ("weights[2]: more than 4000 characters as a decimal string, "
+            "past the wire format's limit")
+    assert [(r["pass"], r["violations"]) for r in rows] == [(True, [])] + [(False, [past])] * 3
+    assert len(verified_documents) == 1
 
 
 @pytest.mark.parametrize("N", [86, 1000, 2 ** 40, 2 ** 63 - 1])
