@@ -581,6 +581,37 @@ def test_work_past_budget_exit_2(argv, stdin, code, doc):
     assert (out.returncode, json.loads(out.stdout), out.stderr) == (code, doc, "")
 
 
+def _run_contract_in_process(capsys, name: str) -> None:
+    """The CLI_CONTRACT row name, run through main in this process: the
+    same exit code and document, within a second."""
+    argv, _, code, doc = next(row for row in CLI_CONTRACT if row.id == name).values
+    started = time.perf_counter()
+    assert run_cli(capsys, *argv) == (code, doc)
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("name", ["induction-M-2^40", "induction-M-2^23", "induction-d-10^9"],
+                         ids=["2-40", "2-23", "3-1000000000"])
+def test_induction_above_m_limit_exit_2(capsys, name):
+    _run_contract_in_process(capsys, name)
+
+
+def test_sweep_e_max_above_cell_cap_exit_2(capsys):
+    _run_contract_in_process(capsys, "sweep-cells")
+
+
+@pytest.mark.parametrize("name", ["sweep-weights", "sweep-instances"],
+                         ids=["weights", "instances"])
+def test_sweep_work_above_cap_exit_2(capsys, name):
+    _run_contract_in_process(capsys, name)
+
+
+@pytest.mark.parametrize("name", ["p-range", "p-ranges-grid"],
+                         ids=["2-100000000000", "2-40000,50000-90000"])
+def test_sweep_prime_ranges_past_limit_exit_2(capsys, name):
+    _run_contract_in_process(capsys, name)
+
+
 @pytest.mark.parametrize("expr, cap", [
     ("FiniteFieldSpec(3, 10 ** 8)", RESIDUE_DEGREE_MAX),
     ("LocalFieldShape(3, 1, 1, 10 ** 8, 2).residue_field_E", RESIDUE_DEGREE_MAX),
