@@ -254,9 +254,10 @@ def _lift(theta_bar: MultChar, b: tuple[int, ...], psi: DetSpec,
         row_sums_exact = k == tuple(psi.a)
         col_congruent = distinct = separation = None
         regular = True
-    # (-1)^(d-1) * theta(varpi_E) == psi(varpi_F), symbolically
-    unif_sign = theta_unif if d % 2 == 1 else theta_unif.negate()
-    det_at_uniformizer = unif_sign.sign == unif.sign and unif_sign.factors == unif.factors
+    # theta(varpi_E) == (-1)^(d-1) * psi(varpi_F), symbolically: the signs
+    # are compared, so a sign left unflipped is recorded as failing
+    det_at_uniformizer = (theta_unif.sign == (1 if d % 2 else -1) * unif.sign
+                          and theta_unif.factors == unif.factors)
 
     checks = {
         "eq_one_compat": compat,

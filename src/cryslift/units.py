@@ -1,7 +1,7 @@
 """Formal unit expressions: sign * prod(label_i ^ e_i) with exact rational e_i.
 
 Labels are opaque symbols ("psi(varpi_F)", "eta(varpi_F)", ...).  Rational
-exponents make d-th roots exact: root(u, d)**d normalizes back to u.
+exponents make d-th roots exact: u.root(d) divides each exponent by d.
 The sign lives outside the formal product so that the (-1)^(d-1) twist
 of determinant-of-induction stays visible.
 """
@@ -33,19 +33,6 @@ class UnitExpr:
     @staticmethod
     def symbol(label: str) -> "UnitExpr":
         return UnitExpr(1, ((label, Fraction(1)),))
-
-    def __mul__(self, other: "UnitExpr") -> "UnitExpr":
-        return UnitExpr(self.sign * other.sign, self.factors + other.factors)
-
-    def __pow__(self, e: int | Fraction) -> "UnitExpr":
-        e = Fraction(e)
-        if self.sign == -1:
-            if e.denominator != 1:
-                raise ValueError("fractional power of a negative unit is not modeled")
-            sign = -1 if e.numerator % 2 else 1
-        else:
-            sign = 1
-        return UnitExpr(sign, tuple((l, f * e) for l, f in self.factors))
 
     def negate(self) -> "UnitExpr":
         return self._negation

@@ -429,24 +429,6 @@ def test_digits_large_prime_is_fast(capsys):
     assert code == 0 and doc["digits"] == ["5"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["digits", "--p", "3", "--f", str(RESIDUE_DEGREE_MAX + 1), "--b", "5"],
-    ["lift", "--p", "3", "--f", "1", "--e", "1", "--d", str(RESIDUE_DEGREE_MAX + 1),
-     "--t", "2", "--theta-bar", "0", "--a", "0"],
-    ["lift", "--p", "2", "--f", "2", "--e", "1", "--d", str(RESIDUE_DEGREE_MAX // 2 + 1),
-     "--t", "3", "--theta-bar", "0", "--a", "0,0"],
-], ids=["digits-f", "lift-d", "lift-f*d"])
-def test_residue_degree_above_cap_exit_2(capsys, argv):
-    """One step above the cap is refused before any power of p; below it
-    no limit applies, which the other tests of digits and lift show."""
-    started = time.perf_counter()
-    code, doc = run_cli(capsys, *argv)
-    assert time.perf_counter() - started < 1.0
-    assert code == 2
-    assert doc["kind"] == "bad-input"
-    assert doc["error"].endswith(f"must be at most {RESIDUE_DEGREE_MAX}")
-
-
 FIELD_BITS_REFUSED = _bad_input(
     f"max_field_bits must be at most {FIELD_BITS_MAX}, so that a cell's t and theta_bar fit "
     "the wire format's 4000 characters")
@@ -557,6 +539,9 @@ CLI_CONTRACT = [
     _row("digits-degree-65537", "digits --p 3 --f 65537 --b 5", 2, DEGREE_REFUSED),
     _row("lift-degree-65537", "lift --p 3 --f 1 --e 1 --d 65537 --t 2 --theta-bar 0 --a 0",
          2, DEGREE_REFUSED),
+    # f and d each below the cap, their product f*d above it
+    _row("lift-f*d", "lift --p 2 --f 2 --e 1 --d 32769 --t 3 --theta-bar 0 --a 0,0",
+         2, _bad_input("the degree 65538 of the field over F_2 must be at most 65536")),
     _row("sweep-field-bits-65537", "sweep --max-field-bits 65537", 2, FIELD_BITS_REFUSED),
     # below the residue degree cap, but p^235 has 4,300 digits: this exited 2
     # with str()'s text only after earlier cells ran
@@ -593,16 +578,6 @@ def _run_contract_in_process(capsys, name: str) -> None:
 @pytest.mark.parametrize("name", ["induction-M-2^40", "induction-M-2^23", "induction-d-10^9"],
                          ids=["2-40", "2-23", "3-1000000000"])
 def test_induction_above_m_limit_exit_2(capsys, name):
-    _run_contract_in_process(capsys, name)
-
-
-def test_sweep_e_max_above_cell_cap_exit_2(capsys):
-    _run_contract_in_process(capsys, "sweep-cells")
-
-
-@pytest.mark.parametrize("name", ["sweep-weights", "sweep-instances"],
-                         ids=["weights", "instances"])
-def test_sweep_work_above_cap_exit_2(capsys, name):
     _run_contract_in_process(capsys, name)
 
 

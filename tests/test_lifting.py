@@ -372,6 +372,14 @@ class TestRecordedChecksCanFail:
         assert checks["weights_distinct"] is True and checks["regular"] is True
         assert checks["block_separation"] is False
 
+    @pytest.mark.parametrize("case", CASES)
+    def test_unflipped_sign_breaks_det_at_uniformizer(self, monkeypatch, case):
+        """With negate returning its unit unchanged, theta(varpi_E) keeps
+        psi(varpi_F)'s sign: an even d records the identity as failing."""
+        monkeypatch.setattr(UnitExpr, "negate", lambda self: self)
+        checks = self._lift(monkeypatch, case, lambda k, d: None)
+        assert checks["det_at_uniformizer"] is (case[3] % 2 == 1)
+
 
 class TestSolverFaultFailsARecordedCheck:
     """A transport block off by one in a single entry reaches every caller

@@ -7,6 +7,7 @@ its verdict under the normative schema files in ``cryslift/schemas``.
 
 import copy
 import json
+import pkgutil
 import subprocess
 import sys
 from importlib import resources
@@ -60,7 +61,7 @@ def _cert_doc(p, f, e, d, b):
         block = [1] * e
         block[0] += (sum(bd[j] for j in range(i0, f * d, f)) - e) % (p - 1)
         a.extend(block)
-    psi = DetSpec(tuple(a), UnitExpr.symbol("psi(varpi_F)") ** 3)
+    psi = DetSpec(tuple(a), UnitExpr(1, (("psi(varpi_F)", 3),)))
     return certificate_to_json(irr_crys_lift(theta_bar, psi, shape))
 
 
@@ -294,10 +295,9 @@ def test_check_int_str_len_matches_schema_limit(value):
         assert fits
 
 
-def _loaded_by_import(*names):
-    """Those of names that `import cryslift, cryslift.cli` loads in a fresh
-    interpreter."""
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import cryslift, cryslift.cli; "
+def _loaded_by_import(statement, *names):
+    """Those of names that statement, run in a fresh interpreter, loads."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); " + statement + "; "
             "print(' '.join(sorted(set(sys.argv[2:]) & set(sys.modules))))")
     src = str(Path(cryslift.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", code, src, *names], capture_output=True,
@@ -306,9 +306,19 @@ def _loaded_by_import(*names):
 
 
 def test_import_loads_neither_numpy_nor_jsonschema():
-    assert _loaded_by_import("numpy", "jsonschema") == []
+    assert _loaded_by_import("import cryslift.cli", "numpy", "jsonschema") == []
 
 
 def test_import_loads_no_process_pool():
     """Only run_sweep starts a pool, so only it pays for importing one."""
-    assert _loaded_by_import("multiprocessing", "concurrent.futures.process") == []
+    assert _loaded_by_import("import cryslift.cli",
+                             "multiprocessing", "concurrent.futures.process") == []
+
+
+def test_verify_import_loads_no_builder_module():
+    """The verifier shares no code with the builder, and the package
+    namespace imports nothing, so the verifier loads alone."""
+    package = ["cryslift",
+               *(f"cryslift.{m.name}" for m in pkgutil.iter_modules(cryslift.__path__))]
+    assert {"cryslift.lifting", "cryslift.units", "cryslift.cli"} <= set(package)
+    assert _loaded_by_import("import cryslift.verify", *package) == ["cryslift", "cryslift.verify"]

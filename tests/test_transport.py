@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-import types
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -184,17 +183,6 @@ def test_refused_instances_raise_before_solving_or_verifying(problem, exc, text)
     with pytest.raises(exc) as verified:
         verify_assignment(x, a, b, m, C)
     assert str(solved.value) == str(verified.value) == text
-
-
-def test_submodule_is_not_shadowed():
-    """The package exports no function named transport, so cryslift.transport
-    is the submodule."""
-    import cryslift
-    import cryslift.transport as t
-
-    assert isinstance(cryslift.transport, types.ModuleType) and t is cryslift.transport
-    assert t.regular_transport([0], [0, 0], 3, 5) == [[6, -6]]
-    assert t.transport([5], [2, 3]) == [[2, 3]]
 
 
 class TestVerifyAssignment:
