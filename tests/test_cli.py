@@ -587,6 +587,22 @@ def test_sweep_prime_ranges_past_limit_exit_2(capsys, name):
     _run_contract_in_process(capsys, name)
 
 
+@pytest.mark.parametrize("name", ["digits-degree-65537", "lift-degree-65537", "lift-f*d"],
+                         ids=["digits-f", "lift-d", "lift-f*d"])
+def test_residue_degree_above_cap_exit_2(capsys, name):
+    _run_contract_in_process(capsys, name)
+
+
+def test_sweep_e_max_above_cell_cap_exit_2(capsys):
+    _run_contract_in_process(capsys, "sweep-cells")
+
+
+@pytest.mark.parametrize("name", ["sweep-weights", "sweep-instances"],
+                         ids=["weights", "instances"])
+def test_sweep_work_above_cap_exit_2(capsys, name):
+    _run_contract_in_process(capsys, name)
+
+
 @pytest.mark.parametrize("expr, cap", [
     ("FiniteFieldSpec(3, 10 ** 8)", RESIDUE_DEGREE_MAX),
     ("LocalFieldShape(3, 1, 1, 10 ** 8, 2).residue_field_E", RESIDUE_DEGREE_MAX),
