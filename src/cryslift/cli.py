@@ -173,15 +173,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "p_values": tuple(_p_values(args.p_values, args.max_field_bits))})
     # --out is opened first, so that a bad path fails before the grid runs,
     # but emptied only to take the report: a refused or failed sweep leaves
-    # the file as it was
-    with open(args.out, "a") if args.out else contextlib.nullcontext(sys.stdout) as out:
-        started = time.monotonic()
-        report = run_sweep(config)
-        elapsed = time.monotonic() - started
-        certio.validate_report_schema(report)
-        if args.out and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
-            out.truncate(0)  # appends now start at 0; a pipe or device has nothing to empty
-        out.write(certio.dumps(report))
+    # the file as it was, and removes it if this call created it
+    created = bool(args.out) and not os.path.lexists(args.out)
+    try:
+        with open(args.out, "a") if args.out else contextlib.nullcontext(sys.stdout) as out:
+            started = time.monotonic()
+            report = run_sweep(config)
+            elapsed = time.monotonic() - started
+            try:
+                certio.validate_report_schema(report)
+            except CertificateError as exc:  # the sweep built it: no input is at fault
+                raise AssertionError(f"sweep report failed self-check: {exc}") from None
+            if args.out and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                out.truncate(0)  # appends now start at 0; a pipe or device has nothing to empty
+            out.write(certio.dumps(report))
+    except BaseException:
+        if created and os.path.lexists(args.out):  # not when the open failed
+            os.remove(args.out)
+        raise
     # wall-clock stays out of the report file so reports are reproducible
     print(f"sweep finished in {elapsed:.2f}s", file=sys.stderr)
     return EXIT_OK if report["totals"]["failed"] == 0 else EXIT_INFEASIBLE

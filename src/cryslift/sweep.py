@@ -12,12 +12,13 @@ The cells of one field E run in a row, by e and then by t, so an
 exhaustive cell of a small field takes its characters and their digit
 expansions from a table built once for that field.  A cell builds a row
 only for an instance that the report keeps: under record="failures" no
-passing row is ever made, and a cell's instance count comes from the
-grid's arithmetic.
+passing row is ever made.  The parent counts each cell's instances once,
+by the grid's arithmetic, and derives the report's totals from those
+counts and the kept rows.
 
 With more than one job, pool workers take contiguous chunks of cells of
-about equal instance counts and return each chunk's totals with the rows
-it keeps, which the parent adds up and joins in grid order.
+about equal instance counts and return the rows that each cell keeps,
+which the parent joins in grid order.
 """
 
 from __future__ import annotations
@@ -224,28 +225,17 @@ def run_cell(shape: LocalFieldShape, config: SweepConfig) -> list[dict]:
     return rows
 
 
-def _run_chunk(
-    cells: list[LocalFieldShape], config: SweepConfig
-) -> tuple[int, int, list[list[dict]]]:
-    """(instances, passed, kept rows per cell) for a run of cells.  A cell
-    runs _theta_count instances, and every one that it does not return as
-    a failing row passed."""
-    instances = failed = 0
-    kept = []
-    for shape in cells:
-        rows = run_cell(shape, config)
-        instances += _theta_count(shape.p ** (shape.f * shape.d), config)
-        failed += sum(not r["pass"] for r in rows)
-        kept.append(rows)
-    return instances, instances - failed, kept
+def _run_chunk(cells: list[LocalFieldShape], config: SweepConfig) -> list[list[dict]]:
+    """The rows that each of a run of cells keeps, as run_cell returns them."""
+    return [run_cell(shape, config) for shape in cells]
 
 
 def _chunks(
-    cells: list[LocalFieldShape], config: SweepConfig, n: int
+    cells: list[LocalFieldShape], sizes: list[int], n: int
 ) -> list[list[LocalFieldShape]]:
-    """At most n contiguous runs of cells with about equal instance counts.
-    Equal cell counts would not do: the grid's largest fields come last."""
-    sizes = [_theta_count(c.p ** (c.f * c.d), config) for c in cells]
+    """At most n contiguous runs of cells with about equal instance counts,
+    a cell's count being its entry in sizes.  Equal cell counts would not
+    do: the grid's largest fields come last."""
     total, done, start, chunks = sum(sizes), 0, 0, []
     for i, size in enumerate(sizes):
         done += size
@@ -259,6 +249,7 @@ def _chunks(
 def run_sweep(config: SweepConfig) -> dict:
     """Run the whole grid and assemble a deterministic report."""
     cells = iter_cells(config)
+    sizes = [_theta_count(c.p ** (c.f * c.d), config) for c in cells]
     # the pool forks all its workers at once, so fork no more than there are
     # cells or CPUs this process may run on
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -268,7 +259,7 @@ def run_sweep(config: SweepConfig) -> dict:
         # imported here, so that no other command pays for multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = _chunks(cells, config, jobs * CHUNKS_PER_WORKER)
+        chunks = _chunks(cells, sizes, jobs * CHUNKS_PER_WORKER)
         # Each call forks its own pool and joins it.  Workers forked once
         # would keep the module state of the first call, so a function
         # patched on this module later (a test's stub, a tracer's wrapper)
@@ -280,10 +271,11 @@ def run_sweep(config: SweepConfig) -> dict:
         results = [_run_chunk(cells, config)]
     # the last field's table is not kept past the sweep
     _theta_table.cache_clear()
-    instances = sum(r[0] for r in results)
-    passed = sum(r[1] for r in results)
-    totals = {"instances": instances, "passed": passed, "failed": instances - passed}
-    rows = [row for _, _, kept in results for cell_rows in kept for row in cell_rows]
+    rows = [row for kept in results for cell_rows in kept for row in cell_rows]
+    instances = sum(sizes)
+    # both record modes keep every failing row, so every other instance passed
+    failed = sum(not row["pass"] for row in rows)
+    totals = {"instances": instances, "passed": instances - failed, "failed": failed}
     return {
         "schema": REPORT_SCHEMA_ID,
         # jobs changes only how the grid is run, so the report leaves it

@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import inspect
 import io
 import json
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -13,7 +15,7 @@ import jsonschema
 import pytest
 
 import cryslift
-from cryslift import cli
+from cryslift import cli, sweep
 from cryslift.cli import main
 from cryslift.certio import certificate_to_json
 from cryslift.fields import RESIDUE_DEGREE_MAX, MultChar
@@ -388,21 +390,69 @@ def test_sweep_bad_out_fails_before_the_sweep(capsys, monkeypatch, tmp_path):
     assert doc["kind"] == "bad-input" and set(doc) == {"error", "kind"}
 
 
-def test_refused_sweep_keeps_out_file(capsys, tmp_path):
-    """A sweep refused before any cell runs leaves --out as it was; a sweep
-    that runs replaces the whole file with its report."""
+REFUSED_SWEEP_ARGV = ["sweep", "--p-values", "2", "--f-max", "1", "--e-max", "100000000",
+                      "--d-max", "1", "--thetas-per-cell", "1"]
+# four cells of 1, 3, 2 and 4 instances, run in-process
+FAILING_SWEEP_ARGV = ["sweep", "--p-values", "2,3", "--f-max", "1", "--e-max", "1",
+                      "--d-max", "2", "--thetas-per-cell", "4"]
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["file-exists", "file-missing"])
+@pytest.mark.parametrize("fault", ["refused", "fails-mid-grid"])
+def test_refused_sweep_keeps_out_file(capsys, monkeypatch, tmp_path, fault, existing):
+    """A sweep refused before any cell runs, or one that fails mid-grid,
+    leaves --out as it was, and no file where there was none; a sweep that
+    runs replaces the whole file with its report."""
     out = tmp_path / "r.json"
-    out.write_bytes(b"an earlier report\n" * 1000)
-    before = out.read_bytes()
-    code, doc = run_cli(capsys, "sweep", "--p-values", "2", "--f-max", "1",
-                        "--e-max", "100000000", "--d-max", "1",
-                        "--thetas-per-cell", "1", "--out", str(out))
-    assert code == 2 and doc["kind"] == "bad-input"
-    assert out.read_bytes() == before
+    before = b"an earlier report\n" * 1000 if existing else None
+    if existing:
+        out.write_bytes(before)
+    if fault == "refused":
+        argv, expected = REFUSED_SWEEP_ARGV, (2, "bad-input")
+    else:
+        argv, expected = FAILING_SWEEP_ARGV, (4, "internal-invariant")
+        verify, calls = sweep.verify_certificate, []
+
+        def failing(doc):
+            calls.append(doc)
+            if len(calls) == 3:
+                raise AssertionError("the verifier broke mid-grid")
+            return verify(doc)
+
+        monkeypatch.setattr(sweep, "verify_certificate", failing)
+    code, doc = run_cli(capsys, *argv, "--out", str(out))
+    assert (code, doc["kind"]) == expected
+    assert (out.read_bytes() if out.exists() else None) == before
+    if fault != "refused":
+        assert len(calls) == 3 and doc["error"] == "the verifier broke mid-grid"
+    monkeypatch.undo()
     argv = ["sweep", "--p-values", "2", "--f-max", "1", "--e-max", "1", "--d-max", "1"]
     assert main(argv + ["--out", str(out)]) == 0
     assert main(argv) == 0
     assert out.read_text() == capsys.readouterr().out
+
+
+def test_sweep_report_failing_its_schema_exit_4(capsys, monkeypatch, tmp_path):
+    """No input makes the sweep's report fail its schema, so a report that
+    does is an internal invariant breach (exit 4), found before --out is
+    emptied."""
+    run_sweep = cli.run_sweep
+
+    def bad_pass_flag(config):
+        report = run_sweep(config)
+        report["instances"][0]["pass"] = 1
+        return report
+
+    monkeypatch.setattr(cli, "run_sweep", bad_pass_flag)
+    out = tmp_path / "r.json"
+    out.write_bytes(b"an earlier report\n")
+    code, doc = run_cli(capsys, "sweep", "--p-values", "2", "--f-max", "1", "--e-max", "1",
+                        "--d-max", "1", "--out", str(out))
+    assert code == 4
+    assert doc == {"error": "sweep report failed self-check: report schema violation at "
+                            "instances[0].pass: expected true or false",
+                   "kind": "internal-invariant"}
+    assert out.read_bytes() == b"an earlier report\n"
 
 
 def test_sweep_empty_range_rejected(capsys):
@@ -816,3 +866,28 @@ def test_readme_cli_examples_exit_0(capsys, tmp_path, monkeypatch):
             jsonschema.validate(json.loads(out)["matrix"], int_matrix)
     assert json.loads(Path("report.json").read_text())["totals"]["failed"] == 0
 
+
+def _readme_layout_rows():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Package layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    return [(re.fullmatch(r"\| `(cryslift\.\w+)`", module).group(1), re.findall(r"`(\w+)`", names))
+            for module, names, _ in rows]
+
+
+def test_readme_layout_names_import_from_their_modules():
+    """The README's package-layout table, the map of import paths, has one
+    row per module of the package, and every name in a row's names column
+    imports from that row's module, which defines it."""
+    rows = _readme_layout_rows()
+    modules = [module for module, _ in rows]
+    assert sorted(modules) == sorted(
+        f"cryslift.{m.name}" for m in pkgutil.iter_modules(cryslift.__path__))
+    for module, names in rows:
+        assert names, module
+        imported = {}
+        exec(f"from {module} import {', '.join(names)}", imported)
+        for name in names:
+            obj = imported[name]
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == module, (module, name)

@@ -169,7 +169,7 @@ class TestOracleCatchesWrongDeterminant:
         assert report["counterexamples"] == [
             {"where": "H", "h": 0, "det": [-1, 0], "expected": [1, 0]}]
 
-    @pytest.mark.xfail(strict=True, reason="the vectorized path never reads det_of's "
+    @pytest.mark.xfail(reason="the vectorized path never reads det_of's "
                        "exponents: both of its sides follow from sum b*q^i = b*N mod M")
     def test_default_path_catches_it(self, monkeypatch):
         q, d, b = self.CASE

@@ -492,8 +492,30 @@ def test_chunks_hold_about_equal_instance_counts(thetas_per_cell):
     cells = iter_cells(config)
     sizes = {c.key: min(c.p ** (c.f * c.d) - 1, thetas_per_cell or 10 ** 6) for c in cells}
     for n in (1, 2, 32, 1000):
-        chunks = sweep._chunks(cells, config, n)
+        chunks = sweep._chunks(cells, [sizes[c.key] for c in cells], n)
         assert all(chunks) and len(chunks) <= n
         assert [c for chunk in chunks for c in chunk] == cells
         counts = [sum(sizes[c.key] for c in chunk) for chunk in chunks]
         assert max(counts) <= sum(sizes.values()) / n + max(sizes.values())
+
+
+def test_run_chunk_returns_run_cell_lists_unchanged(monkeypatch):
+    """A chunk returns the very lists that run_cell returned, in cell order:
+    a list subclass that carries more than its rows (a tracer's, across the
+    pool's pickle) reaches the parent as it was made."""
+
+    class Rows(list):
+        pass
+
+    made = []
+
+    def stub(shape, config):
+        made.append(Rows([{"id": shape.key}]))
+        return made[-1]
+
+    monkeypatch.setattr(sweep, "run_cell", stub)
+    cells = iter_cells(SweepConfig(p_values=(2, 3), f_max=1, e_max=2, d_max=2))
+    kept = sweep._run_chunk(cells, SweepConfig())
+    assert type(kept) is list and len(kept) == len(cells) == len(made) == 8
+    assert all(got is want for got, want in zip(kept, made))
+    assert [rows[0]["id"] for rows in kept] == [c.key for c in cells]
