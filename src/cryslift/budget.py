@@ -11,7 +11,7 @@ MEMORY_BUDGET_MB = 256
 COSTS = {
     "lift weights": (1300, 270),  # e*f*d per certificate: built, written, verified
     "matrix entries": (1800, 390),  # n*k; one column costs the most per entry
-    "sweep instances": (42000, 260),  # apart from its weights; most at d = 7, e = 1
+    "sweep instances": (35000, 260),  # apart from its weights; most at d = 7, e = 1
     "report rows": (3000, 680),
     "cells": (60000, 1500),  # held with their block slices until the sweep ends
     "oracle group elements": (120, 40),  # numpy arrays of M entries per b

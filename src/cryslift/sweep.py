@@ -8,6 +8,12 @@ independent verifier.  Each shape's random draws are seeded from
 (seed, shape.key), so reports are byte-identical for a fixed seed
 regardless of parallelism.
 
+A cell runs its theta_bar in blocks of BLOCK_INSTANCES, one stage at a
+time: it draws every determinant of the block, lifts them all, writes
+every document, verifies them all, and then builds the kept rows in
+order of theta_bar.  A lift that fails is that instance's failing row,
+with the text it would have alone; the rest of its block runs on.
+
 The cells of one field E run in a row, by e and then by t, so an
 exhaustive cell of a small field takes its characters and their digit
 expansions from a table built once for that field.  A cell builds a row
@@ -29,6 +35,7 @@ import random
 import sys
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
+from itertools import islice
 
 from . import budget
 from .certio import MAX_INT_STR_LEN, REPORT_SCHEMA_ID, certificate_to_json, check_int_str_len
@@ -43,6 +50,12 @@ from .verify import verify_certificate
 # instance costs more as e and d grow), while each task still carries
 # many cells.
 CHUNKS_PER_WORKER = 16
+
+# Instances per block of a cell.  run_cell takes a block through one stage
+# at a time (draw, lift, document, verify), which pays less of Python's
+# cost per call than taking each instance through every stage; a block's
+# certificates and documents are all held at once, so it stays small.
+BLOCK_INSTANCES = 16
 
 # The determinant's value at the uniformizer in every cell: one unit per
 # process writes its JSON and its negation once.
@@ -206,22 +219,34 @@ def run_cell(shape: LocalFieldShape, config: SweepConfig) -> list[dict]:
     draw = _compat_draw(rng, shape, config.a_bound)
     keep_passed = config.record == "all"
     key = shape.key
+    check_weights = shape.d > 1  # weights outgrow the exponents, at odd d twofold per i0-block
+    # looked up once per cell, not at import: tests and tracers patch them on this module
+    lift, to_json, verify = _lift, certificate_to_json, verify_certificate
+    thetas = iter(thetas)
     rows = []
-    for theta_bar, b_digits in thetas:
-        psi = DetSpec(draw(b_digits), PSI_UNIFORMIZER)
-        try:
-            # one digit expansion per theta_bar: the lift reuses b_digits
-            cert = _lift(theta_bar, b_digits, psi, shape)
-            if shape.d > 1:  # weights outgrow the exponents, at odd d twofold per i0-block
-                check_int_str_len(cert.weights, "weights")
-        except InfeasibleError as exc:
-            ok, violations = False, [f"infeasible: {exc}"]
-        except CertificateError as exc:
-            ok, violations = False, [str(exc)]
-        else:
-            ok, violations = verify_certificate(certificate_to_json(cert))
-        if keep_passed or not ok:
-            rows.append({"id": f"{key},b={theta_bar.b}", "pass": ok, "violations": violations})
+    while block := list(islice(thetas, BLOCK_INSTANCES)):
+        psis = [DetSpec(draw(b_digits), PSI_UNIFORMIZER) for _, b_digits in block]
+        certs, failed = [], {}
+        for i, ((theta_bar, b_digits), psi) in enumerate(zip(block, psis)):
+            try:
+                # one digit expansion per theta_bar: the lift reuses b_digits
+                cert = lift(theta_bar, b_digits, psi, shape)
+                if check_weights:
+                    check_int_str_len(cert.weights, "weights")
+            except InfeasibleError as exc:
+                failed[i] = (False, [f"infeasible: {exc}"])
+            except CertificateError as exc:
+                failed[i] = (False, [str(exc)])
+            else:
+                certs.append(cert)
+        documents = list(map(to_json, certs))
+        results = list(map(verify, documents))
+        # in ascending order, each failure goes in at its own index
+        for i, result in failed.items():
+            results.insert(i, result)
+        for (theta_bar, _), (ok, violations) in zip(block, results):
+            if keep_passed or not ok:
+                rows.append({"id": f"{key},b={theta_bar.b}", "pass": ok, "violations": violations})
     return rows
 
 

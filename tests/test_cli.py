@@ -557,18 +557,18 @@ CLI_CONTRACT = [
     _row("sweep-weights",
          "sweep --p-values 2 --f-max 1 --d-max 1 --e-max 65536 --thetas-per-cell 1",
          2, _past_budget("6.554e+04 cells, 6.554e+04 sweep instances, 2.148e+09 lift weights, "
-                         "6.554e+04 report rows predict 2799 s and 160.6 MB")),
+                         "6.554e+04 report rows predict 2798 s and 160.6 MB")),
     # 393 cells of one weight per instance, but 26M instances: the rows of
     # the first six cells under --record all are past the memory budget
     _row("sweep-instances", "sweep --p-values 65537-70000 --max-field-bits 17 --f-max 1 "
          "--e-max 1 --d-max 1 --thetas-per-cell all",
          2, _past_budget("6 cells, 3.933e+05 sweep instances, 3.933e+05 lift weights, "
-                         "3.933e+05 report rows predict 18.21 s and 284.5 MB")),
+                         "3.933e+05 report rows predict 15.46 s and 284.5 MB")),
     _row("p-range", "sweep --p-values 2-100000000000 --max-field-bits 40",
          2, _past_budget("1e+11 integers tested for primality predict 3.8e+05 s and 0 MB")),
     _row("p-ranges-grid", "sweep --p-values 2-40000,50000-90000 --max-field-bits 40",
          2, _past_budget("2.069e+04 cells, 3.308e+05 sweep instances, 9.328e+05 lift weights, "
-                         "3.308e+05 report rows predict 17.34 s and 256 MB")),
+                         "3.308e+05 report rows predict 15.03 s and 256 MB")),
     # one b of an M whose walk is past the memory budget
     _row("induction-M-2^40", "induction --q 2 --d 40 --b 1",
          2, _past_budget("1.1e+12 oracle group elements predict 1.319e+05 s and 4.398e+07 MB")),

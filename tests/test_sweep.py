@@ -26,6 +26,7 @@ import pytest
 
 from cryslift import budget, lifting, sweep
 from cryslift.certio import certificate_to_json, dumps, validate_certificate_schema
+from cryslift.errors import CertificateError, InfeasibleError
 from cryslift.fields import FiniteFieldSpec, MultChar, digits, is_prime
 from cryslift.lifting import DetSpec, LocalFieldShape, irr_crys_lift
 from cryslift.sweep import SweepConfig, iter_cells, run_cell, run_sweep
@@ -174,6 +175,57 @@ def test_weights_past_wire_format_fail_their_rows(verified_documents):
             "past the wire format's limit")
     assert [(r["pass"], r["violations"]) for r in rows] == [(True, [])] + [(False, [past])] * 3
     assert len(verified_documents) == 1
+
+
+# 40 instances: two full blocks of run_cell and a part of a third
+BLOCK_CELL = LocalFieldShape(41, 1, 1, 1, 40)
+
+
+def test_lift_failure_inside_block_stays_its_row(monkeypatch):
+    """An InfeasibleError and a CertificateError from the lift, each in the
+    middle of a block, fail their own rows with today's texts; every other
+    row of the cell passes, in b order, and each instance lifts the
+    determinant exponents that a run without failures draws."""
+    assert 21 % sweep.BLOCK_INSTANCES and 5 % sweep.BLOCK_INSTANCES
+    lift, seen = sweep._lift, []
+    failures = {}
+
+    def recording(theta_bar, b, psi, shape):
+        seen.append((theta_bar.b, psi.a))
+        if theta_bar.b in failures:
+            raise failures[theta_bar.b]
+        return lift(theta_bar, b, psi, shape)
+
+    monkeypatch.setattr(sweep, "_lift", recording)
+    config = SweepConfig(thetas_per_cell=None, record="all", seed=4)
+    expected = run_cell(BLOCK_CELL, config)
+    draws, seen[:] = list(seen), []
+    failures.update({5: InfeasibleError("no room at b=5"),
+                     21: CertificateError("weights[0]: bad at b=21")})
+    rows = run_cell(BLOCK_CELL, config)
+    assert seen == draws and [b for b, _ in seen] == list(range(40))
+    assert all(r["pass"] and r["violations"] == [] for r in expected)
+    assert [r["id"] for r in rows] == [f"{BLOCK_CELL.key},b={b}" for b in range(40)]
+    assert {i: (r["pass"], r["violations"]) for i, r in enumerate(rows) if not r["pass"]} == {
+        5: (False, ["infeasible: no room at b=5"]), 21: (False, ["weights[0]: bad at b=21"])}
+    assert [r for i, r in enumerate(rows) if i not in (5, 21)] == [
+        r for i, r in enumerate(expected) if i not in (5, 21)]
+
+
+def test_run_cell_looks_up_certificate_to_json_at_call_time(monkeypatch):
+    """A wrapper patched on the module writes every document of the cell,
+    as a tracer's does, and the rows stay as they were."""
+    config = SweepConfig(thetas_per_cell=None, record="all")
+    expected = run_cell(BLOCK_CELL, config)
+    written = []
+
+    def counting(cert):
+        written.append(cert.theta_bar.b)
+        return certificate_to_json(cert)
+
+    monkeypatch.setattr(sweep, "certificate_to_json", counting)
+    assert run_cell(BLOCK_CELL, config) == expected
+    assert written == list(range(40))
 
 
 @pytest.mark.parametrize("N", [86, 1000, 2 ** 40, 2 ** 63 - 1])
