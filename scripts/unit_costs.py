@@ -4,10 +4,11 @@ Run from the root of a checkout:
 
     python3 scripts/unit_costs.py
 
-Each line runs one command at two sizes, each in a fresh interpreter
-(best of three), and prints the difference in wall time and in peak RSS
-divided by the difference in units: the marginal seconds and bytes per
-unit, with each command's start-up and fixed cost taken out.  The time
+Each line runs one command at two sizes, each three times in a fresh
+interpreter (the least time and the median memory of the three), and
+prints the difference in wall time and in peak RSS divided by the
+difference in units: the marginal seconds and bytes per unit, with each
+command's start-up and fixed cost taken out.  The time
 is that of ``cryslift.cli.main`` alone, with its output written to
 /dev/null.  budget.COSTS holds, per unit, about the largest of its lines,
 less what a line also measures: a sweep instance's weights (7 at d = 7),
@@ -43,7 +44,8 @@ print(json.dumps([code, seconds, (after - before) * 1024]))
 
 
 def run(argv: list[str]) -> tuple[float, int]:
-    """(least seconds, largest peak RSS growth in bytes) of three runs."""
+    """(least seconds, median peak RSS growth in bytes) of three runs: the
+    largest let one noisy run set a unit's memory."""
     with tempfile.NamedTemporaryFile("w", suffix=".json") as fh:
         json.dump(argv, fh)  # past 128 KB an argument cannot go on a command line
         fh.flush()
@@ -55,7 +57,7 @@ def run(argv: list[str]) -> tuple[float, int]:
             if code != 0:
                 raise SystemExit(f"exit {code}: cryslift {' '.join(argv)[:200]}")
             runs.append((seconds, grown))
-    return min(s for s, _ in runs), max(g for _, g in runs)
+    return min(s for s, _ in runs), sorted(g for _, g in runs)[1]
 
 
 def zeros(n: int) -> str:

@@ -158,7 +158,14 @@ def cmd_induction(args: argparse.Namespace) -> int:
 
 
 def cmd_twist(args: argparse.Namespace) -> int:
-    theta = twist_shout(_profile(args.rho), _profile(args.rho_x), _shape(args))
+    rho, rho_x, shape = _profile(args.rho), _profile(args.rho_x), _shape(args)
+    theta = twist_shout(rho, rho_x, shape)
+    # per embedding, theta makes up the determinant's gap as a t-th power
+    if len(theta.k) != len(rho.weights) or any(
+            sum(w) != sum(w_x) + shape.d * k or k % shape.t
+            for w, w_x, k in zip(rho.weights, rho_x.weights, theta.k)):
+        raise AssertionError("twist failed self-check: some k is not "
+                             "(sum(rho) - sum(rho_x))/d, or not a multiple of t")
     _emit({
         "k": [str(v) for v in theta.k],
         "uniformizer": theta.uniformizer.to_json(),

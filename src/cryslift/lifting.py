@@ -144,9 +144,10 @@ class LiftCertificate:
     """Machine-checkable record of a constructed lift.
 
     checks maps identity names to booleans (or None when d = 1 makes a
-    condition inapplicable); hypotheses records input-side promises that
-    are declared, not verified.  Not frozen: its dicts are mutable either
-    way, and a frozen record cost the sweep 1 us more per certificate.
+    condition inapplicable), and is empty from the sweep's lift;
+    hypotheses records input-side promises that are declared, not
+    verified.  Not frozen: its dicts are mutable either way, and a frozen
+    record cost the sweep 1 us more per certificate.
     """
 
     shape: LocalFieldShape
@@ -189,7 +190,9 @@ def _build_weights(b: tuple[int, ...], a: tuple[int, ...],
                    shape: LocalFieldShape) -> tuple[int, ...]:
     """Weights from compatible digits b and determinant exponents a, one
     distinct-entry transport per i0-block (k = a when d = 1), unchecked:
-    _lift's recorded checks are the builder's only check of the blocks."""
+    irr_crys_lift's recorded checks are the builder's only check of the
+    blocks, and a sweep's lift, which records none, is checked by the
+    verifier alone."""
     if shape.d == 1:
         return tuple(a)
     k: list[int] = []
@@ -220,22 +223,39 @@ def irr_crys_lift(theta_bar: MultChar, psi: DetSpec, shape: LocalFieldShape) -> 
     """
     if (theta_bar.field.p, theta_bar.field.f) != (shape.p, shape.f * shape.d):
         raise ValueError("theta_bar lives over the wrong residue field")
-    return _lift(theta_bar, digits(theta_bar).digits, psi, shape)
+    b = digits(theta_bar).digits
+    cert = _lift(theta_bar, b, psi, shape)
+    cert.checks = _recorded_checks(b, cert.weights, psi, shape, cert.theta_uniformizer)
+    return cert
 
 
 def _lift(theta_bar: MultChar, b: tuple[int, ...], psi: DetSpec,
           shape: LocalFieldShape) -> LiftCertificate:
-    """irr_crys_lift from theta_bar's digits b."""
-    compat = _compat(b, psi, shape)
-    if not compat:
+    """The construction of irr_crys_lift from theta_bar's digits b, which
+    records no checks: the sweep's verifier recomputes every identity."""
+    if not _compat(b, psi, shape):
         raise InfeasibleError("incompatible (theta_bar, psi): no certificate")
     k = _build_weights(b, psi.a, shape)
-    d, unif = shape.d, psi.uniformizer
-    theta_unif = unif if d % 2 == 1 else unif.negate()
+    unif = psi.uniformizer
+    theta_unif = unif if shape.d % 2 == 1 else unif.negate()
+    hypotheses = {
+        "residual_uniformizer_value": (
+            "theta_bar(Art_E(varpi_E)) is assumed congruent to "
+            "(-1)^(d-1) * psi(Art_F(varpi_F)); the residual value at the "
+            "uniformizer is not part of the character data"
+        )
+    }
+    # positional: keywords cost the dataclass's __init__ a fifth of a microsecond
+    return LiftCertificate(shape, theta_bar, psi, k, theta_unif, {}, hypotheses)
 
-    # recorded identities, each recomputed here from the raw data, one
-    # pass over the Sigma_F fibres and one over the Sigma_E0 fibres; they
-    # are the builder's only self-check
+
+def _recorded_checks(b: tuple[int, ...], k: tuple[int, ...], psi: DetSpec,
+                     shape: LocalFieldShape, theta_unif: UnitExpr) -> dict:
+    """The seven identities of the weights k that _lift built from digits b
+    and psi, each recomputed from the raw data: one pass over the Sigma_F
+    fibres and one over the Sigma_E0 fibres.  They are the builder's only
+    self-check."""
+    d, unif = shape.d, psi.uniformizer
     if d > 1:
         fibres = shape.F_fibres(k)
         row_sums_exact = list(map(sum, fibres)) == list(psi.a)
@@ -259,9 +279,9 @@ def _lift(theta_bar: MultChar, b: tuple[int, ...], psi: DetSpec,
     # are compared, so a sign left unflipped is recorded as failing
     det_at_uniformizer = (theta_unif.sign == (1 if d % 2 else -1) * unif.sign
                           and theta_unif.factors == unif.factors)
-
-    checks = {
-        "eq_one_compat": compat,
+    return {
+        # _lift raises InfeasibleError where compatibility fails
+        "eq_one_compat": True,
         "lifts_theta_bar": col_congruent,
         "det_on_units": row_sums_exact,
         "det_at_uniformizer": det_at_uniformizer,
@@ -269,12 +289,3 @@ def _lift(theta_bar: MultChar, b: tuple[int, ...], psi: DetSpec,
         "block_separation": separation,
         "regular": regular,
     }
-    hypotheses = {
-        "residual_uniformizer_value": (
-            "theta_bar(Art_E(varpi_E)) is assumed congruent to "
-            "(-1)^(d-1) * psi(Art_F(varpi_F)); the residual value at the "
-            "uniformizer is not part of the character data"
-        )
-    }
-    # positional: keywords cost the dataclass's __init__ a fifth of a microsecond
-    return LiftCertificate(shape, theta_bar, psi, k, theta_unif, checks, hypotheses)

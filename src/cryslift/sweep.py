@@ -8,6 +8,12 @@ independent verifier.  Each shape's random draws are seeded from
 (seed, shape.key), so reports are byte-identical for a fixed seed
 regardless of parallelism.
 
+The lift is lifting._lift, the bare construction: its certificates record
+no checks, so the verifier computes each identity once per instance, and
+its verdict alone decides the row (a wrong lift fails its row on the
+recomputation).  The builder's own checks run only in irr_crys_lift,
+never in a sweep.
+
 A cell runs its theta_bar in blocks of BLOCK_INSTANCES, one stage at a
 time: it draws every determinant of the block, lifts them all, writes
 every document, verifies them all, and then builds the kept rows in

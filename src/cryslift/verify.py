@@ -4,7 +4,8 @@ Deliberately self-contained: it re-derives every recorded identity from
 the raw certificate fields using its own arithmetic (base-p expansion,
 congruences, unit-expression algebra) and never calls the solvers that
 produced the certificate.  A certificate passes iff every identity holds
-and every recorded check value matches the recomputation.
+and every recorded check value matches the recomputation; a certificate
+may record none.
 
 It derives the fibres from the wire format's canonical order on its own,
 as slices: the i0-block of psi.a is a[i0*e:(i0+1)*e], the J-block of
@@ -192,7 +193,9 @@ def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
                        for name, value in recomputed.items() if value is False]
 
     recorded = obj["checks"]
-    if recorded == recomputed:  # every recorded value agrees, and none is unknown
+    # none recorded (as the sweep writes them), or every recorded value
+    # agrees and none is unknown
+    if not recorded or recorded == recomputed:
         return (not violations), violations
     for name, value in recomputed.items():
         if name in recorded and recorded[name] != value:

@@ -2,6 +2,7 @@ import ast
 import copy
 import json
 import random
+import re
 import time
 from pathlib import Path
 
@@ -205,6 +206,8 @@ class TestEachIdentityCanFail:
         doc = _three_block_doc()
         assert all(doc["checks"].values())
         assert verify_certificate(doc) == (True, [])
+        doc["checks"] = {}  # none recorded, as the sweep writes them
+        assert verify_certificate(doc) == (True, [])
 
     @pytest.mark.parametrize("name", sorted(IDENTITY_FAULTS))
     def test_fault_fails_identity(self, name):
@@ -215,6 +218,21 @@ class TestEachIdentityCanFail:
         assert doc["checks"] == checks
         assert not ok
         assert f"identity {name} fails on recomputation" in violations
+
+    @pytest.mark.parametrize("name", sorted(IDENTITY_FAULTS))
+    def test_fault_fails_identity_without_recorded_checks(self, name):
+        """With no check recorded, as the sweep writes its documents, the
+        verdict rests on the recomputation alone: the same identities fail,
+        and nothing else is reported."""
+        doc = _three_block_doc()
+        IDENTITY_FAULTS[name](doc)
+        recorded = verify_certificate(doc)[1]
+        doc["checks"] = {}
+        ok, violations = verify_certificate(doc)
+        assert not ok
+        assert f"identity {name} fails on recomputation" in violations
+        assert violations == [v for v in recorded if v.startswith("identity ")]
+        assert all(re.fullmatch(r"identity \w+ fails on recomputation", v) for v in violations)
 
 
 class TestVerifierBounds:

@@ -19,6 +19,7 @@ from cryslift import cli, sweep
 from cryslift.cli import main
 from cryslift.certio import certificate_to_json
 from cryslift.fields import RESIDUE_DEGREE_MAX, MultChar
+from cryslift.ledger import CrystCharSpec, twist_shout
 from cryslift.lifting import DetSpec, LocalFieldShape, irr_crys_lift
 from cryslift.sweep import FIELD_BITS_MAX
 from cryslift.transport import verify_assignment
@@ -356,6 +357,33 @@ def test_twist_profiles_off_sigma_F_exit_2(capsys, rho, rho_x):
     assert doc["kind"] == "bad-input" and "|Sigma_F| = e*f = 1" in doc["error"]
 
 
+def _k_off_by_one(rho, rho_x, shape):
+    theta = twist_shout(rho, rho_x, shape)
+    return dataclasses.replace(theta, k=(theta.k[0] + 1,) + theta.k[1:])
+
+
+def _twist_without_congruence(rho, rho_x, shape):
+    """twist_shout without its congruence gate: k is the gap over d, a
+    multiple of t or not."""
+    gaps = [sum(w) - sum(w_x) for w, w_x in zip(rho.weights, rho_x.weights)]
+    return CrystCharSpec(tuple(g // shape.d for g in gaps), UnitExpr.symbol("eta"))
+
+
+@pytest.mark.parametrize("fault, rho_x", [
+    (_k_off_by_one, "[[1,-3]]"),  # sum(rho) - sum(rho_x) = 8 = d*4, and k = 5
+    (_twist_without_congruence, "[[4,0]]"),  # k = 1 is no multiple of t = 2
+], ids=["k-off-by-one", "k-not-multiple-of-t"])
+def test_twist_self_check_fails_exit_4(capsys, monkeypatch, fault, rho_x):
+    """A wrong twist is caught before it is printed: exit 4, and the one
+    document on stdout is the error, with no k in it."""
+    monkeypatch.setattr(cli, "twist_shout", fault)
+    code, doc = run_cli(capsys, "twist", *SHAPE_ARGV, "--rho", "[[5,1]]", "--rho-x", rho_x)
+    assert code == cli.EXIT_INTERNAL
+    assert doc == {"error": "twist failed self-check: some k is not "
+                            "(sum(rho) - sum(rho_x))/d, or not a multiple of t",
+                   "kind": "internal-invariant"}
+
+
 def test_sweep_deterministic(capsys, tmp_path):
     argv = [
         "sweep", "--p-values", "2,3", "--f-max", "1", "--e-max", "1",
@@ -563,12 +591,12 @@ CLI_CONTRACT = [
     _row("sweep-instances", "sweep --p-values 65537-70000 --max-field-bits 17 --f-max 1 "
          "--e-max 1 --d-max 1 --thetas-per-cell all",
          2, _past_budget("6 cells, 3.933e+05 sweep instances, 3.933e+05 lift weights, "
-                         "3.933e+05 report rows predict 15.46 s and 284.5 MB")),
+                         "3.933e+05 report rows predict 13.1 s and 293 MB")),
     _row("p-range", "sweep --p-values 2-100000000000 --max-field-bits 40",
          2, _past_budget("1e+11 integers tested for primality predict 3.8e+05 s and 0 MB")),
     _row("p-ranges-grid", "sweep --p-values 2-40000,50000-90000 --max-field-bits 40",
          2, _past_budget("2.069e+04 cells, 3.308e+05 sweep instances, 9.328e+05 lift weights, "
-                         "3.308e+05 report rows predict 15.03 s and 256 MB")),
+                         "3.308e+05 report rows predict 13.04 s and 256 MB")),
     # one b of an M whose walk is past the memory budget
     _row("induction-M-2^40", "induction --q 2 --d 40 --b 1",
          2, _past_budget("1.1e+12 oracle group elements predict 1.319e+05 s and 4.398e+07 MB")),

@@ -177,6 +177,47 @@ def test_weights_past_wire_format_fail_their_rows(verified_documents):
     assert len(verified_documents) == 1
 
 
+def test_sweep_documents_record_no_checks(verified_documents):
+    """The sweep's lift records no checks, so the verifier computes each
+    identity once; irr_crys_lift records all seven of the same lift."""
+    shape = LocalFieldShape(3, 1, 2, 2, 2)
+    rows = run_cell(shape, SweepConfig(thetas_per_cell=None))
+    assert len(rows) == len(verified_documents) == 8 and all(r["pass"] for r in rows)
+    assert all(doc["checks"] == {} for doc in verified_documents)
+    doc = verified_documents[-1]
+    theta_bar = MultChar(shape.residue_field_E, int(doc["theta_bar"]["b"]))
+    psi = DetSpec(tuple(map(int, doc["psi"]["a"])), U)
+    recorded = certificate_to_json(irr_crys_lift(theta_bar, psi, shape))
+    assert list(recorded["checks"]) == [
+        "eq_one_compat", "lifts_theta_bar", "det_on_units", "det_at_uniformizer",
+        "weights_distinct", "block_separation", "regular"]
+    assert all(recorded["checks"].values())
+    assert recorded == {**doc, "checks": recorded["checks"]}
+
+
+@pytest.mark.parametrize("shape", [LocalFieldShape(3, 1, 2, 1, 2),
+                                   LocalFieldShape(3, 1, 2, 2, 2),
+                                   LocalFieldShape(2, 2, 1, 2, 3)])
+def test_wrong_sweep_lift_fails_its_rows_on_recomputation(monkeypatch, shape):
+    """A weight off by one in the construction, which records no checks in
+    a sweep, fails every row of its cell through the verifier's
+    recomputation: at d = 1 with det_on_units alone."""
+    build = lifting._build_weights
+
+    def off_by_one(b, a, shape):
+        k = build(b, a, shape)
+        return (k[0] + 1,) + k[1:]
+
+    monkeypatch.setattr(lifting, "_build_weights", off_by_one)
+    rows = run_cell(shape, SweepConfig(thetas_per_cell=None))
+    assert len(rows) == shape.residue_field_E.q - 1
+    failing = "identity det_on_units fails on recomputation"
+    for row in rows:
+        assert not row["pass"] and failing in row["violations"]
+        assert all(v.startswith("identity ") for v in row["violations"])
+        assert shape.d > 1 or row["violations"] == [failing]
+
+
 # 40 instances: two full blocks of run_cell and a part of a third
 BLOCK_CELL = LocalFieldShape(41, 1, 1, 1, 40)
 
